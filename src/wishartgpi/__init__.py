@@ -49,13 +49,13 @@ from .wishart import (
 from .montecarlo import (
     ExponentVector,
     Finiteness,
+    JointEstimate,
     MCEstimate,
     StreamPlan,
     finiteness_classify,
     mc_mean,
     mc_probability,
     mc_product_moment,
-    product_estimate,
 )
 from .bounds import (
     bound_integral_beta_1d,

@@ -2,8 +2,10 @@
 
 Each check estimates (or computes exactly) the two sides of one
 inequality and classifies the comparison as Holds / Violated /
-Inconclusive through a pooled-stderr z-score. A Violated verdict on a
-statement that is only conjectured is automatically re-run at 10x the
+Inconclusive through the z-score of their difference. A split statement
+E[L R] >= E[L] E[R] draws L and R once, from one sample, and takes the
+stderr of its margin from their joint co-moments. A Violated verdict on
+a statement that is only conjectured is automatically re-run at 10x the
 sample size on fresh streams before being reported, to suppress Monte
 Carlo false positives.
 """
@@ -15,29 +17,32 @@ from math import exp, gamma, hypot, inf, lgamma, log, prod, sqrt
 
 import numpy as np
 
-from .errors import DivergentIntegral, DomainError, InfiniteMoment, UpperBoundUnavailable
+from .errors import (
+    DegenerateEvent,
+    DegenerateVariance,
+    DivergentIntegral,
+    DomainError,
+    InfiniteMoment,
+    UpperBoundUnavailable,
+)
 from .bounds import integral_window, log_minor_bound_integral
 from .linalg import as_symmetric, block_cholesky, direct_sum, schur_complement
 from .montecarlo import (
     ExponentVector,
     Finiteness,
+    JointEstimate,
     MCEstimate,
+    PowerProducts,
     StreamPlan,
     as_plan,
     finiteness_classify,
     mc_mean,
-    mc_probability,
+    mc_probability,  # noqa: F401  (perfbench/layers.py traces the estimators bound here)
     mc_product_moment,
-    product_estimate,
+    product_columns,
 )
 from .special import log_mvgamma
-from .wishart import (
-    WishartModel,
-    _sample_batch,
-    laplace_transform,
-    log_minor_moment,
-    sample_sphere,
-)
+from .wishart import WishartModel, _sample_batch, laplace_transform, log_minor_moment
 
 __all__ = [
     "STATEMENTS",
@@ -101,7 +106,7 @@ class InequalityVerdict:
     """Outcome of one inequality comparison.
 
     ``margin`` is oriented so that positive means the inequality is
-    satisfied; ``z = margin / pooled stderr`` (+-inf for exact-vs-exact
+    satisfied; ``z = margin / margin stderr`` (+-inf for exact-vs-exact
     comparisons). ``status`` records whether the statement is proved,
     open, or conditional for the instance shape.
     """
@@ -135,26 +140,30 @@ def verdict_from(
     statement: str = "",
     status: str = "proved",
     detail: dict | None = None,
+    margin_se: float | None = None,
 ) -> InequalityVerdict:
     """Classify `lhs direction rhs` from two estimates (or exact scalars).
 
-    Holds needs a nonnegative oriented margin at least z_threshold pooled
-    stderrs wide; Violated needs the margin negative by the same width;
-    everything else is Inconclusive. Exact-vs-exact comparisons use a
-    1e-10 relative tolerance and the z = +-inf convention.
+    The margin's stderr is `margin_se` when given, as it must be when the
+    two sides come from one sample; otherwise the sides are independent
+    and their stderrs pool. Holds needs a nonnegative oriented margin at
+    least z_threshold margin stderrs wide; Violated needs the margin
+    negative by the same width; everything else is Inconclusive. A zero
+    margin stderr (exact-vs-exact) uses a 1e-10 relative tolerance and
+    the z = +-inf convention.
     """
     if direction not in (">=", "<="):
         raise ValueError(f"direction must be '>=' or '<=', got {direction!r}")
     a, b = _as_estimate(lhs), _as_estimate(rhs)
     margin = a.mean - b.mean if direction == ">=" else b.mean - a.mean
-    pooled = hypot(a.stderr, b.stderr)
-    if pooled == 0.0:
+    se = hypot(a.stderr, b.stderr) if margin_se is None else float(margin_se)
+    if se == 0.0:
         tol = 1e-10 * max(1.0, abs(a.mean), abs(b.mean))
         ok = margin >= -tol
         z = inf if ok else -inf
         word = "Holds" if ok else "Violated"
     else:
-        z = margin / pooled
+        z = margin / se
         if margin >= 0.0 and z >= z_threshold:
             word = "Holds"
         elif z <= -z_threshold:
@@ -190,6 +199,21 @@ def _rerun_candidate(build, n: int, status: str) -> InequalityVerdict:
     return v
 
 
+def _split_sides(est: JointEstimate, joint, left, right, scale: float = 1.0):
+    """E[joint] and scale * E[left] * E[right], all from one sample.
+
+    Each factor is a column of `est` (None: the exact constant 1).
+    Returns the two sides as estimates and the delta-method stderr of
+    their difference, with gradient (1, -scale E[right], -scale E[left])
+    on the joint co-moments, so the correlation between the sides counts.
+    """
+    lhs = est.column(joint)
+    a, b = est.column(left).mean, est.column(right).mean
+    g_rhs = scale * (est.unit(left, b) + est.unit(right, a))
+    rhs = MCEstimate(scale * a * b, est.stderr(g_rhs), est.n)
+    return lhs, rhs, est.stderr(est.unit(joint) - g_rhs)
+
+
 def _split_groups(d: int, k: int) -> tuple[range, range]:
     # Split convention: k in {2, ..., d}; first group is blocks 1..k-1,
     # second is k..d (1-based), i.e. 0-based index ranges below.
@@ -204,9 +228,8 @@ def split_model(model: WishartModel, k: int) -> WishartModel:
     Block margins are untouched; only the coupling between the two block
     groups is removed.
     """
-    left, _ = _split_groups(model.d, k)
+    _split_groups(model.d, k)
     cut = model.spec.offsets[k - 1]
-    del left
     sigma_star = model.sigma.copy()
     sigma_star[:cut, cut:] = 0.0
     sigma_star[cut:, :cut] = 0.0
@@ -252,8 +275,9 @@ def gpi_sandwich(
     """Two-sided check on the joint inverse-minor moment E prod |X_ii|^(-nu_i).
 
     Lower: the joint moment dominates the product of the two split-group
-    moments at k in {2, ..., d} (each group Monte Carlo estimated on its
-    own streams). Upper: the joint moment is at most
+    moments at k in {2, ..., d}; all three come from one sample, and the
+    margin's stderr from their joint co-moments. Upper: the joint moment
+    (the same estimate) is at most
     prod_i 2^(p_i alpha/2) / Gamma_{p_i}(nu_i) * I(M_ii), with M the
     block Cholesky factor of the scale matrix and I the closed-form
     bound integral. The upper bound does not depend on k.
@@ -264,22 +288,22 @@ def gpi_sandwich(
     if any(s != -1 for s in exps.signs):
         raise ValueError("the sandwich applies to all-inverted exponents (every sign -1)")
     left_ix, right_ix = _split_groups(model.d, k)
-    plan = as_plan(rng)
-    full = mc_product_moment(model, exps, n, plan.allocate(), workers=workers)
+    groups = [range(model.d)] + ([left_ix, right_ix] if "lower" in bounds else [])
+    draw, cols = product_columns(model, exps, groups)
+    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
+    full = est.column(cols.index[0])
     out: dict[str, InequalityVerdict] = {}
     if "lower" in bounds:
-        left = mc_product_moment(model, exps, n, plan.allocate(), subset=left_ix, workers=workers)
-        right = mc_product_moment(
-            model, exps, n, plan.allocate(), subset=right_ix, workers=workers
-        )
+        lhs, rhs, se = _split_sides(est, *cols.index)
         out["lower"] = verdict_from(
-            full,
-            product_estimate(left, right),
+            lhs,
+            rhs,
             ">=",
             z_threshold,
             statement=STATEMENTS["sandwich"],
             status="proved",
             detail={"side": "lower", "split": k},
+            margin_se=se,
         )
     if "upper" in bounds:
         M = block_cholesky(model.sigma, model.spec)
@@ -361,7 +385,8 @@ def tail_probability_conjecture_check(
     With ``thresholds=None`` each threshold is calibrated to marginal
     probability 1/2 from a pilot run of n/10 draws (per-block medians of
     the minor determinants; a 500-draw floor keeps tiny-n medians
-    usable). Proved when every block is scalar, otherwise open. Raises
+    usable). The three probabilities are indicator columns of one sample.
+    Proved when every block is scalar, otherwise open. Raises
     DegenerateEvent when an estimated probability hits 0 or 1.
     """
     left_ix, right_ix = _split_groups(model.d, k)
@@ -381,30 +406,30 @@ def tail_probability_conjecture_check(
         if any(t <= 0 for t in thresholds):
             raise ValueError("thresholds must be positive")
 
-    def indicator(subset):
-        idx = [(slices[i], thresholds[i]) for i in subset]
-
-        def draw(gen, m):
-            X = _sample_batch(model, gen, m)
-            hits = np.ones(m, dtype=bool)
-            for sl, t in idx:
-                hits &= np.linalg.det(X[:, sl, sl]) <= t
-            return hits
-
-        return draw
+    def draw(gen, m):
+        X = _sample_batch(model, gen, m)
+        below = [np.linalg.det(X[:, sl, sl]) <= t for sl, t in zip(slices, thresholds)]
+        return np.column_stack(
+            [np.all([below[i] for i in g], axis=0) for g in (range(model.d), left_ix, right_ix)]
+        )
 
     def build(n_eff):
-        joint = mc_probability(indicator(range(model.d)), n_eff, plan.allocate(), workers)
-        left = mc_probability(indicator(left_ix), n_eff, plan.allocate(), workers)
-        right = mc_probability(indicator(right_ix), n_eff, plan.allocate(), workers)
+        try:
+            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=3)
+        except DegenerateVariance:
+            raise DegenerateEvent(
+                "event probability estimated at 0 or 1; thresholds degenerate"
+            ) from None
+        lhs, rhs, se = _split_sides(est, 0, 1, 2)
         return verdict_from(
-            joint,
-            product_estimate(left, right),
+            lhs,
+            rhs,
             ">=",
             z_threshold,
             statement=STATEMENTS["conj36"],
             status=status,
             detail={"thresholds": thresholds, "split": k},
+            margin_se=se,
         )
 
     return _rerun_candidate(build, n, status)
@@ -423,43 +448,32 @@ def eigen_gpi_check(
     """E prod L_i^{nu_i} >= split product over the ordered eigenvalues L_1 >= ... >= L_p.
 
     All three expectations are Monte Carlo (ordered eigenvalues admit no
-    product closed form); the split at k in {2, ..., p} separates
-    eigenvalue positions 1..k-1 from k..p (1-based). Passing
-    ``fns=(g, h)`` checks the general increasing-functional form
-    E g(L_left) h(L_right) >= E g * E h instead: each callable maps an
-    (m, group size) array of ordered eigenvalues to m nonnegative
-    values, and `nus` is ignored.
+    product closed form), taken from one eigendecomposition per draw; the
+    split at k in {2, ..., p} separates eigenvalue positions 1..k-1 from
+    k..p (1-based). A group whose powers are all zero is the exact
+    constant 1. Passing ``fns=(g, h)`` checks the general
+    increasing-functional form E g(L_left) h(L_right) >= E g * E h
+    instead: each callable maps an (m, group size) array of ordered
+    eigenvalues to m nonnegative values, and `nus` is ignored.
     """
     p = model.p
     if not 2 <= k <= p:
         raise ValueError(f"split k must be in 2..{p}, got {k}")
     cut = k - 1
-    plan = as_plan(rng)
 
     if fns is not None:
         g, h = fns
+        index, k_cols = (0, 1, 2), 3
 
-        def group_fn(fn, sl):
-            def draw(gen, m):
-                X = _sample_batch(model, gen, m)
-                lam = np.linalg.eigvalsh(X)[:, ::-1]
-                vals = np.asarray(fn(lam[:, sl]), dtype=float)
+        def draw(gen, m):
+            lam = np.linalg.eigvalsh(_sample_batch(model, gen, m))[:, ::-1]
+            gv = np.asarray(g(lam[:, :cut]), dtype=float)
+            hv = np.asarray(h(lam[:, cut:]), dtype=float)
+            for vals in (gv, hv):
                 if vals.shape != (m,) or np.any(vals < 0):
                     raise ValueError("eigenvalue functionals must map to m nonnegative values")
-                return vals
+            return np.column_stack((gv * hv, gv, hv))
 
-            return draw
-
-        def joint(gen, m):
-            X = _sample_batch(model, gen, m)
-            lam = np.linalg.eigvalsh(X)[:, ::-1]
-            return np.asarray(g(lam[:, :cut]), dtype=float) * np.asarray(
-                h(lam[:, cut:]), dtype=float
-            )
-
-        lhs = mc_mean(joint, n, plan.allocate(), workers)
-        left = mc_mean(group_fn(g, slice(None, cut)), n, plan.allocate(), workers)
-        right = mc_mean(group_fn(h, slice(cut, None)), n, plan.allocate(), workers)
         detail = {"split": k, "variant": "increasing-functional"}
     else:
         nus = tuple(float(v) for v in nus)
@@ -467,38 +481,25 @@ def eigen_gpi_check(
             raise ValueError(f"need one exponent per eigenvalue ({p}), got {len(nus)}")
         if any(v < 0 for v in nus):
             raise ValueError(f"eigenvalue exponents must be >= 0, got {nus}")
-        if all(v == 0.0 for v in nus):
-            return verdict_from(
-                1.0, 1.0, ">=", z_threshold,
-                statement=STATEMENTS["eigen"], status="proved",
-                detail={"split": k, "variant": "power"},
-            )
+        cols = PowerProducts(nus, [range(p), range(cut), range(cut, p)])
+        index, k_cols = cols.index, cols.k
 
-        def power_product(positions):
-            pos = [(i, nus[i]) for i in positions if nus[i] != 0.0]
+        def draw(gen, m):
+            lam = np.linalg.eigvalsh(_sample_batch(model, gen, m))[:, ::-1]
+            return cols.columns({i: np.log(lam[:, i]) for i in cols.used}, m)
 
-            def draw(gen, m):
-                X = _sample_batch(model, gen, m)
-                lam = np.linalg.eigvalsh(X)[:, ::-1]
-                acc = np.zeros(m)
-                for i, v in pos:
-                    acc += v * np.log(lam[:, i])
-                return np.exp(acc)
-
-            return draw
-
-        lhs = mc_mean(power_product(range(p)), n, plan.allocate(), workers)
-        left = mc_mean(power_product(range(cut)), n, plan.allocate(), workers)
-        right = mc_mean(power_product(range(cut, p)), n, plan.allocate(), workers)
         detail = {"split": k, "variant": "power"}
+    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=k_cols)
+    lhs, rhs, se = _split_sides(est, *index)
     return verdict_from(
         lhs,
-        product_estimate(left, right),
+        rhs,
         ">=",
         z_threshold,
         statement=STATEMENTS["eigen"],
         status="proved",
         detail=detail,
+        margin_se=se,
     )
 
 
@@ -670,8 +671,8 @@ def opposite_gpi_upper(
     `nus` holds positive magnitudes; every block but the last enters
     inverted: E(prod_{i<d} |X_ii|^{-nu_i} * |X_dd|^{nu_d}) <=
     E(prod_{i<d} |X_ii|^{-nu_i}) * E(|X_dd|^{nu_d}). The two Monte Carlo
-    factors run on disjoint streams (required for an unbiased z) and the
-    upright marginal is exact.
+    factors are columns of one sample, so the margin's stderr comes from
+    their joint co-moments; the upright marginal is exact.
     """
     if model.d < 2:
         raise ValueError("need at least two blocks")
@@ -679,23 +680,20 @@ def opposite_gpi_upper(
     if len(nus) != model.d or any(v <= 0 for v in nus):
         raise ValueError("need one positive magnitude per block")
     exps = ExponentVector.from_signed(tuple(-v for v in nus[:-1]) + (nus[-1],))
-    plan = as_plan(rng)
-    lhs = mc_product_moment(
-        model, exps, n, plan.allocate(), workers=workers,
-        override_finiteness=override_finiteness,
+    draw, cols = product_columns(
+        model, exps, [range(model.d), range(model.d - 1)], override_finiteness
     )
-    inverted = mc_product_moment(
-        model, exps, n, plan.allocate(), subset=range(model.d - 1),
-        workers=workers, override_finiteness=override_finiteness,
-    )
-    upright = MCEstimate.exact(exp(log_minor_moment(model, model.d - 1, nus[-1])))
+    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
+    upright = exp(log_minor_moment(model, model.d - 1, nus[-1]))
+    lhs, rhs, se = _split_sides(est, *cols.index, None, scale=upright)
     return verdict_from(
         lhs,
-        product_estimate(inverted, upright),
+        rhs,
         "<=",
         z_threshold,
         statement=STATEMENTS["opp_upper"],
         status="proved",
+        margin_se=se,
     )
 
 
@@ -834,8 +832,11 @@ def elliptical_gpi_check(
 
     With X = A U for U uniform on the sphere, compares
     E(prod |X_i|^{2 alpha_i}) / prod E(|X_i|^{2 alpha_i}) >= Q_R. The left
-    side involves only the sphere; the radial law enters only through
-    Q_R. Also asserts Q_R <= 1 + 3 stderr (a theorem about Q).
+    side involves only the sphere: its numerator and denominators are
+    columns of one sample, and its stderr is the delta method on their
+    co-moments. The radial law enters only through Q_R, which is
+    independent and adds its own variance. Also asserts
+    Q_R <= 1 + 3 stderr (a theorem about Q).
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
@@ -847,32 +848,25 @@ def elliptical_gpi_check(
     status = proved_status("elliptical", d, (1,) * d, radial_kind=rspec.kind)
     plan = as_plan(rng)
     active = [i for i in range(d) if alphas[i] != 0.0]
+    cols = PowerProducts([2.0 * a for a in alphas], [active] + [[i] for i in active])
+    num, dens = cols.index[0], cols.index[1:]
 
-    def sphere_product(indices):
-        idx = [(i, 2.0 * alphas[i]) for i in indices]
-
-        def draw(gen, m):
-            Z = gen.standard_normal((m, d))
-            U = Z / np.linalg.norm(Z, axis=1, keepdims=True)
-            X = U @ A.T
-            acc = np.zeros(m)
-            for i, e in idx:
-                acc += e * np.log(np.abs(X[:, i]))
-            return np.exp(acc)
-
-        return draw
+    def draw(gen, m):
+        Z = gen.standard_normal((m, d))
+        X = (Z / np.linalg.norm(Z, axis=1, keepdims=True)) @ A.T
+        return cols.columns({i: np.log(np.abs(X[:, i])) for i in cols.used}, m)
 
     def build(n_eff):
-        if not active or d == 1:
+        if len(active) < 2:
+            # one active coordinate: the numerator is its own denominator
             lhs = MCEstimate.exact(1.0)
         else:
-            num = mc_mean(sphere_product(active), n_eff, plan.allocate(), workers)
-            dens = [mc_mean(sphere_product([i]), n_eff, plan.allocate(), workers) for i in active]
-            mean = num.mean / np.prod([e.mean for e in dens])
-            rel = sqrt(
-                (num.stderr / num.mean) ** 2 + sum((e.stderr / e.mean) ** 2 for e in dens)
-            )
-            lhs = MCEstimate(float(mean), float(mean) * rel, num.n)
+            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=cols.k)
+            ratio = est.mean[num] / np.prod(est.mean[dens])
+            grad = est.unit(num, ratio / est.mean[num])
+            for j in dens:
+                grad -= est.unit(j, ratio / est.mean[j])
+            lhs = MCEstimate(float(ratio), est.stderr(grad), est.n)
         q = radial_moment_ratio(rspec, alphas, d, n_eff, plan, workers)
         if not q.mean <= 1.0 + 3.0 * q.stderr:
             raise ArithmeticError(f"Q_R = {q.mean} exceeds 1 beyond noise; radial spec broken")

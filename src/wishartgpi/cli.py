@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a JSON-configured inequality sweep")
     p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p_run.add_argument("--workers", type=int, default=None, help="worker threads (default: config or cores)")
+    p_run.add_argument("--workers", type=int, default=None, help="worker threads (default: config or 1)")
     p_run.add_argument(
         "--override-finiteness",
         action="store_true",

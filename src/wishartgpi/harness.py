@@ -503,11 +503,13 @@ def run(
     The sandwich emits one row per configured bound side ('both' gives
     two). Row r draws from streams (seed, r*ROLE_STRIDE + j), so outputs
     are a function of (config, seed) only, independent of worker count.
+    Without `workers` or a config value, one worker runs every chunk:
+    chunk threads cost more than they save on numpy-bound chunks.
     """
     spec = BlockSpec(config.block_sizes)
     eff_workers = workers if workers is not None else config.workers
     if eff_workers is None:
-        eff_workers = os.cpu_count() or 1
+        eff_workers = 1
     exps = None
     if config.exponents is not None:
         exps = ExponentVector(tuple(config.exponents["values"]), tuple(config.exponents["signs"]))

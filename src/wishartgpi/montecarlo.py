@@ -2,9 +2,12 @@
 
 Work is split into fixed-size chunks; chunk c of an estimator anchored at
 stream id b draws from the Philox stream (seed, b << 32 | c). Chunk
-statistics are folded in chunk order, so the result is bit-identical for
-any worker count. A StreamPlan hands out anchor ids so that the
-estimators inside one experiment never share a stream.
+means and co-moments are folded in chunk order, so the result is
+bit-identical for any worker count. An estimator may draw several
+columns from one sample; their joint co-moments give the stderr of any
+smooth function of the column means by the delta method. A StreamPlan
+hands out anchor ids so that the estimators inside one experiment never
+share a stream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .wishart import RngStream, WishartModel, _sample_batch
 __all__ = [
     "CHUNK_DRAWS",
     "MCEstimate",
+    "JointEstimate",
+    "PowerProducts",
     "StreamPlan",
     "ExponentVector",
     "Finiteness",
@@ -29,7 +34,7 @@ __all__ = [
     "mc_mean",
     "mc_probability",
     "mc_product_moment",
-    "product_estimate",
+    "product_columns",
 ]
 
 CHUNK_DRAWS = 65536
@@ -58,12 +63,45 @@ class MCEstimate:
         return cls(float(value), 0.0, 1)
 
 
+@dataclass(frozen=True, eq=False)
+class JointEstimate:
+    """Means of k Monte Carlo columns drawn together, with their co-moments.
+
+    ``comoment`` is the k x k sum of centred cross products over all n
+    draws, so comoment / (n - 1) is the sample covariance of one draw.
+    A column index of None stands for the exact constant 1.
+    """
+
+    mean: np.ndarray
+    comoment: np.ndarray
+    n: int
+
+    def unit(self, j, weight: float = 1.0) -> np.ndarray:
+        """`weight` times the gradient of column j's mean (zero for None)."""
+        grad = np.zeros(len(self.mean))
+        if j is not None:
+            grad[j] = weight
+        return grad
+
+    def stderr(self, grad) -> float:
+        """Delta-method stderr of a function of the means with gradient `grad`."""
+        if self.n < 2:
+            return 0.0
+        g = np.asarray(grad, dtype=float)
+        return sqrt(max(float(g @ self.comoment @ g), 0.0) / (self.n - 1) / self.n)
+
+    def column(self, j) -> MCEstimate:
+        if j is None:
+            return MCEstimate(1.0, 0.0, self.n)
+        return MCEstimate(float(self.mean[j]), self.stderr(self.unit(j)), self.n)
+
+
 class StreamPlan:
     """Allocates disjoint stream anchors for estimator roles, in call order.
 
     Anchors are consecutive integers from `base`; an anchor is never
-    handed out twice, which is what keeps LHS and RHS estimators of a
-    verdict on provably disjoint streams.
+    handed out twice, which is what keeps independently estimated sides
+    of a verdict, and a rerun of it, on provably disjoint streams.
     """
 
     def __init__(self, seed: int, base: int = 0):
@@ -117,39 +155,52 @@ def _map_chunks(fn, layout, workers: int):
         return list(pool.map(fn, layout))
 
 
-def mc_mean(draw_values, n: int, rng: RngStream, workers: int = 1) -> MCEstimate:
+def mc_mean(
+    draw_values, n: int, rng: RngStream, workers: int = 1, columns: int | None = None
+):
     """Mean of ``draw_values(generator, m)`` over n draws, chunked and reproducible.
 
     `draw_values` must return an (m,) array and consume the generator in a
-    deterministic order. Raises DegenerateVariance when every draw is
-    identical (stderr would be meaningless).
+    deterministic order; the result is an MCEstimate. With ``columns=k``
+    it returns an (m, k) array instead, and the result is a JointEstimate
+    of the k means and their co-moments (no draws at all when k = 0).
+    Chunk co-moments are merged with the pairwise update of Pebay
+    (SAND2008-6212), which is the Chan et al. variance fold at k = 1.
+    Raises DegenerateVariance when every draw of some column is identical
+    (its stderr would be meaningless).
     """
     layout = _chunk_layout(n)
+    k = 1 if columns is None else int(columns)
+    if k == 0:
+        return JointEstimate(np.zeros(0), np.zeros((0, 0)), int(n))
 
     def one(spec):
         c, m = spec
         gen = _chunk_stream(rng, c).generator()
         v = np.asarray(draw_values(gen, m), dtype=float)
-        if v.shape != (m,):
-            raise ValueError(f"draw_values returned shape {v.shape}, expected ({m},)")
+        want = (m,) if columns is None else (m, k)
+        if v.shape != want:
+            raise ValueError(f"draw_values returned shape {v.shape}, expected {want}")
         if not np.all(np.isfinite(v)):
             raise FloatingPointError("non-finite draw value in Monte Carlo chunk")
-        mean = float(v.mean())
-        return m, mean, float(np.sum((v - mean) ** 2))
+        rows = np.ascontiguousarray(v.reshape(m, k).T)
+        mean = rows.mean(axis=1)
+        dev = rows - mean[:, None]
+        return m, mean, dev @ dev.T
 
     results = _map_chunks(one, layout, workers)
-    # Chan et al. pairwise combine, folded in fixed chunk order.
-    n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
-    for nb, mb, m2b in results:
+    # Pairwise combine, folded in fixed chunk order.
+    n_acc, mean_acc, c_acc = 0, np.zeros(k), np.zeros((k, k))
+    for nb, mb, cb in results:
         delta = mb - mean_acc
         tot = n_acc + nb
-        mean_acc += delta * nb / tot
-        m2_acc += m2b + delta * delta * n_acc * nb / tot
+        mean_acc = mean_acc + delta * nb / tot
+        c_acc = c_acc + (cb + np.outer(delta, delta) * n_acc * nb / tot)
         n_acc = tot
-    if n_acc >= 2 and m2_acc == 0.0:
+    if n_acc >= 2 and np.any(np.diag(c_acc) == 0.0):
         raise DegenerateVariance("all Monte Carlo draws identical")
-    stderr = sqrt(m2_acc / (n_acc - 1) / n_acc) if n_acc >= 2 else 0.0
-    return MCEstimate(mean_acc, stderr, n_acc)
+    joint = JointEstimate(mean_acc, c_acc, n_acc)
+    return joint if columns is not None else joint.column(0)
 
 
 def mc_probability(draw_indicator, n: int, rng: RngStream, workers: int = 1) -> MCEstimate:
@@ -246,6 +297,87 @@ def finiteness_classify(alpha: float, block_sizes, exps: ExponentVector) -> Fini
     return Finiteness.FINITE_GUARANTEED if guaranteed else Finiteness.UNKNOWN
 
 
+class PowerProducts:
+    """The distinct products prod_{i in g} x_i^powers[i] over index groups g.
+
+    ``index[g]`` is the column of the g-th group, or None when all its
+    powers are zero: that product is the exact constant 1. Groups with
+    the same nonzero powers share a column.
+    """
+
+    def __init__(self, powers, groups):
+        self.supports: list[tuple[tuple[int, float], ...]] = []
+        self.index: list[int | None] = []
+        for g in groups:
+            support = tuple((int(i), float(powers[i])) for i in g if powers[i] != 0.0)
+            if support and support not in self.supports:
+                self.supports.append(support)
+            self.index.append(self.supports.index(support) if support else None)
+
+    @property
+    def k(self) -> int:
+        return len(self.supports)
+
+    @property
+    def used(self) -> list[int]:
+        """Indices that enter some column."""
+        return sorted({i for support in self.supports for i, _ in support})
+
+    def columns(self, logs, m: int) -> np.ndarray:
+        """(m, k) products from ``logs[i]``, the (m,) logs of x_i for i in `used`.
+
+        Each product is accumulated in log space and exponentiated once.
+        """
+        out = np.empty((m, self.k))
+        for j, support in enumerate(self.supports):
+            acc = np.zeros(m)
+            for i, power in support:
+                acc += power * logs[i]
+            out[:, j] = np.exp(acc)
+        return out
+
+
+def product_columns(
+    model: WishartModel, exps: ExponentVector, groups, override_finiteness: bool = False
+):
+    """Draw callback for the product moments of several block groups at once.
+
+    Returns ``(draw, cols)``: ``draw(generator, m)`` samples m matrices
+    once, takes one log-determinant per block, and returns the (m,
+    cols.k) array of prod_{i in group} |X_ii|^(signs[i]*values[i]) over
+    the distinct groups; ``cols.index`` maps each group to its column.
+    Every group is classified for finiteness on its own, and anything
+    short of FiniteGuaranteed raises InfiniteMoment unless
+    `override_finiteness` allows Unknown.
+    """
+    if exps.d != model.d:
+        raise ValueError(f"exponents cover {exps.d} blocks, model has {model.d}")
+    groups = [tuple(int(i) for i in g) for g in groups]
+    for g in groups:
+        if len(set(g)) != len(g):
+            raise ValueError(f"subset has repeated blocks: {g}")
+        for i in g:
+            model.spec.range(i)  # raises IndexOutOfRange outside 0..d-1
+        if all(exps.signed[i] == 0.0 for i in g):
+            continue
+        sub = ExponentVector(tuple(exps.values[i] for i in g), tuple(exps.signs[i] for i in g))
+        cls = finiteness_classify(model.alpha, [model.spec.sizes[i] for i in g], sub)
+        if cls is Finiteness.INFINITE:
+            raise InfiniteMoment("requested product moment is provably infinite")
+        if cls is Finiteness.UNKNOWN and not override_finiteness:
+            raise InfiniteMoment(
+                "product moment not guaranteed finite; pass override_finiteness=True to force"
+            )
+    cols = PowerProducts(exps.signed, groups)
+    slices = {i: model.spec.range(i) for i in cols.used}
+
+    def draw(gen, m):
+        X = _sample_batch(model, gen, m)
+        return cols.columns({i: np.linalg.slogdet(X[:, sl, sl])[1] for i, sl in slices.items()}, m)
+
+    return draw, cols
+
+
 def mc_product_moment(
     model: WishartModel,
     exps: ExponentVector,
@@ -277,45 +409,9 @@ def mc_product_moment(
 
     Notes
     -----
-    Per-draw products are accumulated in log space and exponentiated once
-    per draw; an all-zero exponent product short-circuits to the exact
-    constant 1.
+    This is the one-group case of `product_columns`; an all-zero
+    exponent product is the exact constant 1 and draws nothing.
     """
-    if exps.d != model.d:
-        raise ValueError(f"exponents cover {exps.d} blocks, model has {model.d}")
-    subset = tuple(range(model.d)) if subset is None else tuple(int(i) for i in subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"subset has repeated blocks: {subset}")
-    slices = [model.spec.range(i) for i in subset]
-    signed = [exps.signed[i] for i in subset]
-    if all(x == 0.0 for x in signed):
-        return MCEstimate(1.0, 0.0, int(n))
-    sub_exps = ExponentVector(
-        tuple(exps.values[i] for i in subset), tuple(exps.signs[i] for i in subset)
-    )
-    sub_sizes = tuple(model.spec.sizes[i] for i in subset)
-    cls = finiteness_classify(model.alpha, sub_sizes, sub_exps)
-    if cls is Finiteness.INFINITE:
-        raise InfiniteMoment("requested product moment is provably infinite")
-    if cls is Finiteness.UNKNOWN and not override_finiteness:
-        raise InfiniteMoment(
-            "product moment not guaranteed finite; pass override_finiteness=True to force"
-        )
-
-    def draw_values(gen, m):
-        X = _sample_batch(model, gen, m)
-        acc = np.zeros(m)
-        for sl, nu in zip(slices, signed):
-            if nu == 0.0:
-                continue
-            acc += nu * np.linalg.slogdet(X[:, sl, sl])[1]
-        return np.exp(acc)
-
-    return mc_mean(draw_values, n, rng, workers)
-
-
-def product_estimate(a: MCEstimate, b: MCEstimate) -> MCEstimate:
-    """Product of two independent estimates with first-order error propagation."""
-    mean = a.mean * b.mean
-    stderr = sqrt((a.mean * b.stderr) ** 2 + (b.mean * a.stderr) ** 2)
-    return MCEstimate(mean, stderr, min(a.n, b.n))
+    subset = range(model.d) if subset is None else subset
+    draw, cols = product_columns(model, exps, [subset], override_finiteness)
+    return mc_mean(draw, n, rng, workers, columns=cols.k).column(cols.index[0])

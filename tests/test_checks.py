@@ -28,7 +28,7 @@ from wishartgpi.errors import (
     UpperBoundUnavailable,
 )
 from wishartgpi.linalg import BlockSpec
-from wishartgpi.montecarlo import ExponentVector, MCEstimate
+from wishartgpi.montecarlo import ExponentVector, Finiteness, MCEstimate, finiteness_classify
 from wishartgpi.wishart import RngStream, WishartModel, minor_moment, random_correlation
 
 
@@ -78,6 +78,14 @@ def test_verdict_pools_both_stderrs():
     assert v.z == pytest.approx(1.0 / 0.5)
     assert v.n == 80
     assert v.lhs_se == 0.3 and v.rhs_se == 0.4
+
+
+def test_verdict_from_margin_stderr_replaces_pooling():
+    v = verdict_from(MCEstimate(2.0, 0.3, 50), MCEstimate(1.0, 0.4, 80), margin_se=0.1)
+    assert v.z == pytest.approx(10.0) and v.verdict == "Holds"
+    assert v.lhs_se == 0.3 and v.rhs_se == 0.4
+    tie = verdict_from(MCEstimate(2.0, 0.3, 50), MCEstimate(2.0, 0.3, 50), margin_se=0.0)
+    assert tie.verdict == "Holds" and tie.z == inf
 
 
 def test_proved_status_table():
@@ -190,6 +198,15 @@ def test_gpi_sandwich_block_diagonal_is_tight():
     assert abs(v.z) < 4.0
 
 
+def test_gpi_sandwich_zero_exponent_group_is_exact_one():
+    m = WishartModel(7.0, corr2(0.4), BlockSpec((1, 1)))
+    exps = ExponentVector((0.5, 0.0), (-1, -1))
+    lower = gpi_sandwich(m, exps, 2, 3000, RngStream(1030), bounds=("lower",))["lower"]
+    # E[L * 1] >= E[L] * 1 is an identity, whatever the sample
+    assert lower.verdict == "Holds" and lower.z == inf
+    assert lower.lhs == lower.rhs and lower.lhs_se > 0
+
+
 def test_gpi_sandwich_rejects_wrong_signs_and_window():
     m = WishartModel(8.0, np.eye(4), BlockSpec((2, 2)))
     with pytest.raises(ValueError):
@@ -267,6 +284,14 @@ def test_eigen_check_zero_powers_exact_and_variants():
         eigen_gpi_check(m, (1.0, 1.0), 3, 100, RngStream(0))
     with pytest.raises(ValueError):
         eigen_gpi_check(m, (1.0,), 2, 100, RngStream(0))
+
+
+def test_eigen_check_zero_power_group_is_exact_one():
+    m = WishartModel(5.0, random_correlation(2, RngStream(58)))
+    for nus in ((1.0, 0.0), (0.0, 1.0)):
+        v = eigen_gpi_check(m, nus, 2, 3000, RngStream(1031))
+        assert v.verdict == "Holds" and v.z == inf
+        assert v.lhs == v.rhs and v.lhs_se > 0
 
 
 def test_eigen_check_power_product_holds():
@@ -497,3 +522,35 @@ def test_elliptical_lognormal_heavy_tail_refused():
             RadialSpec("lognormal", mu=0.0, sigma=4.0), (3.0, 3.0), 2, n=5000,
             rng=RngStream(1025),
         )
+
+
+# ---------------------------------------------------------------- calibration
+
+
+def test_split_z_is_calibrated_where_the_statement_is_an_equality():
+    # Scale matrix block-diagonal across the split: the blocks are
+    # independent, every split statement below holds with equality, and
+    # its z must be standard normal.
+    from scipy.stats import binom
+
+    m = WishartModel(10.0, np.diag([1.0, 1.5]), BlockSpec((1, 1)))
+    inverted = ExponentVector((0.5, 0.5), (-1, -1))
+    # the fourth moment is finite, so the sample variance behind z is steady
+    quad = ExponentVector(tuple(4 * v for v in inverted.values), inverted.signs)
+    assert finiteness_classify(m.alpha, (1, 1), quad) is Finiteness.FINITE_GUARANTEED
+    seeds, n = 400, 2000
+    zs = {"sandwich": [], "conj36": [], "opp_upper": []}
+    for s in range(seeds):
+        zs["sandwich"].append(
+            gpi_sandwich(m, inverted, 2, n, RngStream(1100, s), bounds=("lower",))["lower"].z
+        )
+        zs["conj36"].append(
+            tail_probability_conjecture_check(m, (9.3, 14.0), 2, n, RngStream(1101, s)).z
+        )
+        zs["opp_upper"].append(opposite_gpi_upper(m, (0.5, 1.0), n, RngStream(1102, s)).z)
+    for kind, z in zs.items():
+        assert 0.85 < np.std(z) < 1.15, f"{kind}: sd(z) = {np.std(z):.3f}"
+    z = np.concatenate(list(zs.values()))
+    rate = 2 * 0.0013499  # P(|N(0, 1)| > 3)
+    lo, hi = binom.ppf(5e-4, z.size, rate), binom.isf(5e-4, z.size, rate)
+    assert lo <= np.sum(np.abs(z) > 3) <= hi

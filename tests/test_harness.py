@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -419,6 +420,44 @@ def test_cli_moments_exact(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["moment"] == pytest.approx(30.0, rel=1e-12)
+
+
+def test_cli_eigen_zero_power_group_runs(tmp_path):
+    raw = {
+        "schema_version": 1,
+        "inequality_id": "eigen",
+        "d": 1,
+        "block_sizes": [2],
+        "alpha": 6.0,
+        "sigma_source": {"kind": "explicit", "matrix": [[1.0, 0.3], [0.3, 1.0]]},
+        "exponents": {"values": [1.0, 0.0], "signs": [1, 1]},
+        "n_samples": 2000,
+        "seed": 5,
+        "output_path": str(tmp_path / "eig"),
+    }
+    cfg_path = tmp_path / "eig.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "eig.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["verdict"] for r in rows] == ["Holds"]
+
+
+def test_run_defaults_to_one_worker(monkeypatch):
+    import wishartgpi.harness as harness
+
+    seen = []
+    dispatch = harness._dispatch
+
+    def spy(config, spec, sigma, exps, split, plan, workers, override):
+        seen.append(workers)
+        return dispatch(config, spec, sigma, exps, split, plan, workers, override)
+
+    monkeypatch.setattr(harness, "_dispatch", spy)
+    run(parse_config(sandwich_raw(n_samples=500)))
+    run(parse_config(sandwich_raw(n_samples=500, workers=2)))
+    run(parse_config(sandwich_raw(n_samples=500)), workers=3)
+    assert seen == [1, 2, 3]
 
 
 def test_cli_run_and_errors(tmp_path, capsys):

@@ -19,7 +19,6 @@ from wishartgpi.montecarlo import (
     mc_mean,
     mc_probability,
     mc_product_moment,
-    product_estimate,
 )
 from wishartgpi.wishart import RngStream, WishartModel
 
@@ -38,15 +37,6 @@ def test_mcestimate_validation():
         MCEstimate(1.0, 0.1, 0)
     e = MCEstimate.exact(3.0)
     assert e.mean == 3.0 and e.stderr == 0.0
-
-
-def test_product_estimate_propagation():
-    a = MCEstimate(2.0, 0.1, 100)
-    b = MCEstimate(5.0, 0.2, 50)
-    c = product_estimate(a, b)
-    assert c.mean == 10.0
-    assert c.stderr == pytest.approx(np.hypot(2.0 * 0.2, 5.0 * 0.1))
-    assert c.n == 50
 
 
 # ---------------------------------------------------------------- streams
@@ -106,6 +96,67 @@ def test_mc_mean_degenerate_and_nonfinite():
         mc_mean(normals, 0, RngStream(5))
     with pytest.raises(ValueError):
         mc_mean(lambda gen, m: np.ones((m, 2)), 100, RngStream(5))
+
+
+def correlated_columns(gen, m):
+    z = gen.standard_normal((m, 2))
+    return np.column_stack((z[:, 0], z[:, 0] + 0.5 * z[:, 1], np.exp(z[:, 1])))
+
+
+def test_mc_mean_comoment_fold_is_worker_independent():
+    # three chunks, the last of one draw, so the pairwise fold runs twice
+    n = 2 * CHUNK_DRAWS + 1
+    runs = [
+        mc_mean(correlated_columns, n, RngStream(15, 3), workers=w, columns=3)
+        for w in (1, 2, 8)
+    ]
+    for again in runs[1:]:
+        assert np.array_equal(again.mean, runs[0].mean)
+        assert np.array_equal(again.comoment, runs[0].comoment)
+    draws = np.concatenate(
+        [
+            correlated_columns(RngStream(15, (3 << 32) | c).generator(), m)
+            for c, m in ((0, CHUNK_DRAWS), (1, CHUNK_DRAWS), (2, 1))
+        ]
+    )
+    dev = draws - draws.mean(axis=0)
+    np.testing.assert_allclose(runs[0].mean, draws.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(runs[0].comoment, dev.T @ dev, rtol=1e-10, atol=1e-8)
+    # a column of the joint fold is the scalar estimate
+    scalar = mc_mean(lambda gen, m: correlated_columns(gen, m)[:, 0], n, RngStream(15, 3))
+    single = mc_mean(
+        lambda gen, m: correlated_columns(gen, m)[:, :1], n, RngStream(15, 3), columns=1
+    )
+    for est in (runs[0].column(0), single.column(0)):
+        assert est.mean == pytest.approx(scalar.mean, rel=1e-15, abs=0.0)
+        assert est.stderr == pytest.approx(scalar.stderr, rel=1e-15, abs=0.0)
+        assert est.n == scalar.n == n
+
+
+def test_joint_estimate_delta_method():
+    est = mc_mean(correlated_columns, 50000, RngStream(16), columns=3)
+    cov = est.comoment / (est.n - 1)
+    grad = np.array([1.0, -2.0, 0.5])
+    assert est.stderr(grad) == pytest.approx(np.sqrt(grad @ cov @ grad / est.n), rel=1e-12)
+    # column 1 minus column 0 is 0.5 z_1, whose stderr is 0.5 / sqrt(n)
+    assert est.stderr(est.unit(1) - est.unit(0)) == pytest.approx(
+        0.5 / np.sqrt(est.n), rel=0.02
+    )
+    assert est.column(None) == MCEstimate(1.0, 0.0, 50000)
+
+
+def test_mc_mean_columns_validation():
+    with pytest.raises(ValueError):
+        mc_mean(normals, 100, RngStream(5), columns=2)
+    with pytest.raises(DegenerateVariance):
+        mc_mean(
+            lambda gen, m: np.column_stack((gen.standard_normal(m), np.ones(m))),
+            100, RngStream(5), columns=2,
+        )
+    with pytest.raises(FloatingPointError):
+        mc_mean(lambda gen, m: np.full((m, 2), np.inf), 100, RngStream(5), columns=2)
+    empty = mc_mean(normals, 100, RngStream(5), columns=0)
+    assert empty.n == 100 and empty.mean.shape == (0,)
 
 
 def test_mc_mean_single_draw_has_zero_stderr():
