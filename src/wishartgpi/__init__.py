@@ -17,7 +17,6 @@ from .linalg import (
     BlockSpec,
     as_symmetric,
     block_cholesky,
-    block_inverse_2x2,
     block_view,
     direct_sum,
     is_positive_definite,

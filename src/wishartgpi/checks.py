@@ -42,7 +42,8 @@ from .montecarlo import (
     product_columns,
 )
 from .special import log_mvgamma
-from .wishart import WishartModel, _sample_batch, laplace_transform, log_minor_moment
+from .wishart import WishartModel, _sample_batch, factor_eigvals, factor_gram, factor_logdet
+from .wishart import laplace_transform, log_minor_moment
 
 __all__ = [
     "STATEMENTS",
@@ -395,10 +396,8 @@ def tail_probability_conjecture_check(
     slices = [model.spec.range(i) for i in range(model.d)]
     if thresholds is None:
         pilot = max(int(n) // 10, 500)
-        X = _sample_batch(model, plan.allocate().generator(), pilot)
-        thresholds = tuple(
-            float(np.median(np.linalg.det(X[:, sl, sl]))) for sl in slices
-        )
+        A = _sample_batch(model, plan.allocate().generator(), pilot)
+        thresholds = tuple(float(np.median(np.exp(factor_logdet(A, sl)))) for sl in slices)
     else:
         thresholds = tuple(float(t) for t in thresholds)
         if len(thresholds) != model.d:
@@ -406,9 +405,11 @@ def tail_probability_conjecture_check(
         if any(t <= 0 for t in thresholds):
             raise ValueError("thresholds must be positive")
 
+    log_t = [log(t) for t in thresholds]
+
     def draw(gen, m):
-        X = _sample_batch(model, gen, m)
-        below = [np.linalg.det(X[:, sl, sl]) <= t for sl, t in zip(slices, thresholds)]
+        A = _sample_batch(model, gen, m)
+        below = [factor_logdet(A, sl) <= lt for sl, lt in zip(slices, log_t)]
         return np.column_stack(
             [np.all([below[i] for i in g], axis=0) for g in (range(model.d), left_ix, right_ix)]
         )
@@ -448,7 +449,8 @@ def eigen_gpi_check(
     """E prod L_i^{nu_i} >= split product over the ordered eigenvalues L_1 >= ... >= L_p.
 
     All three expectations are Monte Carlo (ordered eigenvalues admit no
-    product closed form), taken from one eigendecomposition per draw; the
+    product closed form), taken from one set of ordered eigenvalues per
+    draw (closed form up to 3 x 3, see `factor_eigvals`); the
     split at k in {2, ..., p} separates eigenvalue positions 1..k-1 from
     k..p (1-based). A group whose powers are all zero is the exact
     constant 1. Passing ``fns=(g, h)`` checks the general
@@ -466,7 +468,7 @@ def eigen_gpi_check(
         index, k_cols = (0, 1, 2), 3
 
         def draw(gen, m):
-            lam = np.linalg.eigvalsh(_sample_batch(model, gen, m))[:, ::-1]
+            lam = factor_eigvals(_sample_batch(model, gen, m))
             gv = np.asarray(g(lam[:, :cut]), dtype=float)
             hv = np.asarray(h(lam[:, cut:]), dtype=float)
             for vals in (gv, hv):
@@ -485,7 +487,7 @@ def eigen_gpi_check(
         index, k_cols = cols.index, cols.k
 
         def draw(gen, m):
-            lam = np.linalg.eigvalsh(_sample_batch(model, gen, m))[:, ::-1]
+            lam = factor_eigvals(_sample_batch(model, gen, m))
             return cols.columns({i: np.log(lam[:, i]) for i in cols.used}, m)
 
         detail = {"split": k, "variant": "power"}
@@ -583,8 +585,9 @@ def bernstein_pair_check(
         r0, r1 = model.spec.range(0), model.spec.range(1)
 
         def draw(gen, m):
-            X = _sample_batch(model, gen, m)
-            return f.eval_batch(X[:, r0, r0]) * g.eval_batch(X[:, r1, r1])
+            A = _sample_batch(model, gen, m)
+            X0, X1 = (factor_gram(A, r).transpose(2, 0, 1) for r in (r0, r1))
+            return f.eval_batch(X0) * g.eval_batch(X1)
 
         lhs = mc_mean(draw, n, as_plan(rng).allocate(), workers)
     return verdict_from(

@@ -140,10 +140,6 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return parse_config(raw)
-
-    @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)

@@ -25,7 +25,6 @@ __all__ = [
     "block_view",
     "block_cholesky",
     "schur_complement",
-    "block_inverse_2x2",
     "direct_sum",
 ]
 
@@ -215,37 +214,6 @@ def schur_complement(S, spec: BlockSpec, keep, pivot) -> np.ndarray:
         raise SingularPivot("pivot block is numerically singular")
     out = S[np.ix_(ki, ki)] - S[np.ix_(ki, pi)] @ X
     return (out + out.T) / 2.0
-
-
-def block_inverse_2x2(S, split: int) -> np.ndarray:
-    """Inverse of a symmetric matrix assembled from its 2x2 block partition.
-
-    `split` is the size of the leading block, 1 <= split < dim. Uses the
-    partitioned-inverse identities with the trailing Schur complement as
-    pivot, then validates ``S @ inv = I`` to 1e-10 (relative to max|S|).
-    """
-    S = as_symmetric(S)
-    n = S.shape[0]
-    if not 1 <= split < n:
-        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
-    A = S[:split, :split]
-    B = S[:split, split:]
-    C = S[split:, split:]
-    try:
-        Ainv_B = np.linalg.solve(A, B)
-        D = C - B.T @ Ainv_B  # Schur complement of A
-        Dinv = np.linalg.inv(D)
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPivot(f"block inverse failed: {exc}") from None
-    top_left = Ainv + Ainv_B @ Dinv @ Ainv_B.T
-    top_right = -Ainv_B @ Dinv
-    inv = np.block([[top_left, top_right], [top_right.T, Dinv]])
-    inv = (inv + inv.T) / 2.0
-    resid = np.abs(S @ inv - np.eye(n)).max()
-    if not np.isfinite(resid) or resid > 1e-10 * max(1.0, np.abs(S).max()):
-        raise SingularPivot(f"inverse validation failed (residual {resid:.3e})")
-    return inv
 
 
 def direct_sum(*blocks) -> np.ndarray:

@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DegenerateEvent, DegenerateVariance, InfiniteMoment
-from .wishart import RngStream, WishartModel, _sample_batch
+from .wishart import RngStream, WishartModel, _sample_batch, factor_logdet
 
 __all__ = [
     "CHUNK_DRAWS",
@@ -342,10 +342,11 @@ def product_columns(
 ):
     """Draw callback for the product moments of several block groups at once.
 
-    Returns ``(draw, cols)``: ``draw(generator, m)`` samples m matrices
-    once, takes one log-determinant per block, and returns the (m,
-    cols.k) array of prod_{i in group} |X_ii|^(signs[i]*values[i]) over
-    the distinct groups; ``cols.index`` maps each group to its column.
+    Returns ``(draw, cols)``: ``draw(generator, m)`` samples m Bartlett
+    factors once, reads one log-determinant per block off them
+    (`factor_logdet`), and returns the (m, cols.k) array of
+    prod_{i in group} |X_ii|^(signs[i]*values[i]) over the distinct
+    groups; ``cols.index`` maps each group to its column.
     Every group is classified for finiteness on its own, and anything
     short of FiniteGuaranteed raises InfiniteMoment unless
     `override_finiteness` allows Unknown.
@@ -372,8 +373,8 @@ def product_columns(
     slices = {i: model.spec.range(i) for i in cols.used}
 
     def draw(gen, m):
-        X = _sample_batch(model, gen, m)
-        return cols.columns({i: np.linalg.slogdet(X[:, sl, sl])[1] for i, sl in slices.items()}, m)
+        A = _sample_batch(model, gen, m)
+        return cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, m)
 
     return draw, cols
 

@@ -3,13 +3,30 @@
 The scale matrix is partitioned into diagonal blocks by a BlockSpec; the
 degrees-of-freedom parameter alpha is real with alpha > p - 1. Sampling
 uses the Bartlett factorization, which stays valid for non-integer alpha.
+
+The batch sampler returns the factors, not the matrices: A = L B is
+lower triangular, held as a (p, p, m) array with the draw index last, so
+that each entry is one contiguous row across draws. The factor_* kernels
+read Monte Carlo functionals off it without forming or decomposing the
+p x p matrices:
+
+- factor_logdet: a leading block's log-determinant is 2 sum log A_jj
+  with A_jj = L_jj B_jj; a 1x1 block is log sum_k A_ik^2; a 2x2 block is
+  a c - b^2 where that does not cancel (at least _DET_GUARD * a c), else
+  slogdet; larger blocks use slogdet of the block's Gram matrix.
+- factor_eigvals: descending eigenvalues, closed form at p <= 2 and by
+  O. K. Smith's trigonometric method at p = 3 (CACM 4(4), 1961), with
+  near-repeated or ill-conditioned draws (_GAP_GUARD, _COND_GUARD) and
+  every p > 3 going through eigvalsh.
+- factor_gram / factor_matrices: Gram blocks as (b, b, m) arrays, and
+  the full draws as (m, p, p) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import exp, log
+from math import exp, log, pi
 
 import numpy as np
 
@@ -21,6 +38,10 @@ __all__ = [
     "RngStream",
     "WishartModel",
     "sample",
+    "factor_gram",
+    "factor_matrices",
+    "factor_logdet",
+    "factor_eigvals",
     "log_density",
     "laplace_transform",
     "log_laplace_transform",
@@ -32,6 +53,12 @@ __all__ = [
 ]
 
 _LOG_2 = log(2.0)
+# Share of a c below which a 2x2 determinant a c - b^2 goes through slogdet.
+_DET_GUARD = 1e-4
+# Relative eigenvalue gap and inverse condition below which a 3x3 draw
+# goes through eigvalsh instead of the trigonometric closed form.
+_GAP_GUARD = 1e-2
+_COND_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,9 +82,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
 
 
 @dataclass(frozen=True)
@@ -123,32 +147,123 @@ class WishartModel:
 
 
 def _sample_batch(model: WishartModel, gen: np.random.Generator, m: int) -> np.ndarray:
-    """m Bartlett draws as an (m, p, p) array.
+    """m Bartlett factors A = L B as one (p, p, m) array.
+
+    L is the Cholesky factor of the scale matrix and B lower triangular
+    with standard normals below the diagonal and chi variables on it, so
+    A is lower triangular and A[:, :, s] A[:, :, s]^T is the s-th
+    Wishart draw. The draw index is last (structure of arrays): every
+    entry is a contiguous (m,) row, and L B is one GEMM over all draws.
 
     The generator is consumed in a fixed order (all subdiagonal normals,
     then chi-square diagonals from the top left down), so a draw depends
     only on the stream, never on surrounding code.
     """
     p = model.p
-    B = np.zeros((m, p, p))
+    B = np.zeros((p, p, m))
     rows, cols = np.tril_indices(p, k=-1)
     if rows.size:
-        B[:, rows, cols] = gen.standard_normal((m, rows.size))
+        B[rows, cols] = gen.standard_normal((m, rows.size)).T
     for i in range(p):
-        B[:, i, i] = np.sqrt(gen.gamma((model.alpha - i) / 2.0, 2.0, size=m))
-    A = model._chol[None, :, :] @ B
-    X = A @ A.transpose(0, 2, 1)
-    return (X + X.transpose(0, 2, 1)) / 2.0
+        B[i, i] = np.sqrt(gen.gamma((model.alpha - i) / 2.0, 2.0, size=m))
+    return (model._chol @ B.reshape(p, p * m)).reshape(p, p, m)
+
+
+def factor_gram(A: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    """Diagonal block X[rows, rows] of X = A A^T for a (p, p, m) factor.
+
+    Returns a (b, b, m) array, exactly symmetric; each entry sums only
+    the columns where both lower-triangular rows are nonzero.
+    """
+    lo, hi = (0, A.shape[0]) if rows is None else (rows.start, rows.stop)
+    G = np.empty((hi - lo, hi - lo, A.shape[2]))
+    for i in range(hi - lo):
+        for j in range(i + 1):
+            k = lo + j + 1
+            G[i, j] = G[j, i] = np.einsum("km,km->m", A[lo + i, :k], A[lo + j, :k])
+    return G
+
+
+def factor_matrices(A: np.ndarray) -> np.ndarray:
+    """The (m, p, p) Wishart draws A A^T of a (p, p, m) factor."""
+    return np.ascontiguousarray(factor_gram(A).transpose(2, 0, 1))
+
+
+def factor_logdet(A: np.ndarray, rows: slice) -> np.ndarray:
+    """log|X[rows, rows]| per draw for X = A A^T, as an (m,) array.
+
+    A leading block is 2 sum log A_jj, the Bartlett diagonal L_jj B_jj,
+    and a 1x1 block the log of its Gram entry. A 2x2 block is a c - b^2
+    unless that falls below _DET_GUARD * a c, where cancellation would
+    cost digits; those draws, and every larger block, go through slogdet.
+    """
+    lo, hi = rows.start, rows.stop
+    if lo == 0:
+        diag = A[np.arange(hi), np.arange(hi)]
+        return 2.0 * np.log(diag).sum(axis=0)
+    G = factor_gram(A, rows)
+    if hi - lo == 1:
+        return np.log(G[0, 0])
+    if hi - lo > 2:
+        return np.linalg.slogdet(G.transpose(2, 0, 1))[1]
+    ac = G[0, 0] * G[1, 1]
+    det = ac - G[0, 1] * G[0, 1]
+    ok = det > _DET_GUARD * ac
+    out = np.log(det, out=np.empty_like(det), where=ok)
+    if not ok.all():
+        out[~ok] = np.linalg.slogdet(G[:, :, ~ok].transpose(2, 0, 1))[1]
+    return out
+
+
+def factor_eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of X = A A^T per draw, descending, as an (m, p) array.
+
+    p = 1 and p = 2 are closed form. p = 3 uses the trigonometric
+    solution of O. K. Smith (CACM 4(4), 1961); draws whose relative
+    eigenvalue gap is below _GAP_GUARD or whose condition exceeds
+    1/_COND_GUARD, where the arccos loses digits, go through eigvalsh,
+    as do all p > 3.
+    """
+    p = A.shape[0]
+    if p > 3:
+        return np.linalg.eigvalsh(factor_matrices(A))[:, ::-1]
+    if p == 1:
+        return (A[0, 0] ** 2)[:, None]
+    G = factor_gram(A)
+    if p == 2:
+        # the small root as |X| / top, with |X| = (A_00 A_11)^2 free of cancellation
+        half = (G[0, 0] + G[1, 1]) / 2.0
+        top = half + np.hypot(G[0, 0] - half, G[0, 1])
+        return np.column_stack((top, (A[0, 0] * A[1, 1]) ** 2 / top))
+    q = (G[0, 0] + G[1, 1] + G[2, 2]) / 3.0
+    d0, d1, d2 = G[0, 0] - q, G[1, 1] - q, G[2, 2] - q
+    x01, x02, x12 = G[0, 1], G[0, 2], G[1, 2]
+    rad = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (x01 * x01 + x02 * x02 + x12 * x12)) / 6.0)
+    # |X - qI| / (2 rad^3) = cos(3 phi); the roots are q + 2 rad cos(phi + 2 pi k / 3).
+    # A vanishing rad yields a zero gap below, so those draws fall back.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_det = (
+            d0 * (d1 * d2 - x12 * x12) - x01 * (x01 * d2 - x12 * x02) + x02 * (x01 * x12 - d1 * x02)
+        ) / (2.0 * rad**3)
+        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    top = q + 2.0 * rad * np.cos(phi)
+    low = q + 2.0 * rad * np.cos(phi + 2.0 * pi / 3.0)
+    mid = 3.0 * q - top - low
+    ok = (np.minimum(top - mid, mid - low) > _GAP_GUARD * top) & (low > _COND_GUARD * top)
+    lam = np.column_stack((top, mid, low))
+    if not ok.all():
+        lam[~ok] = np.linalg.eigvalsh(G[:, :, ~ok].transpose(2, 0, 1))[:, ::-1]
+    return lam
 
 
 def sample(model: WishartModel, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Draw from the model; one (p, p) matrix, or (size, p, p) when size given."""
     gen = rng.generator()
     if size is None:
-        return _sample_batch(model, gen, 1)[0]
+        return factor_matrices(_sample_batch(model, gen, 1))[0]
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return _sample_batch(model, gen, int(size))
+    return factor_matrices(_sample_batch(model, gen, int(size)))
 
 
 def log_density(model: WishartModel, X) -> float:

@@ -6,7 +6,6 @@ from wishartgpi.linalg import (
     BlockSpec,
     as_symmetric,
     block_cholesky,
-    block_inverse_2x2,
     block_view,
     direct_sum,
     is_positive_definite,
@@ -129,14 +128,6 @@ def test_schur_complement_singular_pivot():
     S = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(SingularPivot):
         schur_complement(S, spec, keep=[1], pivot=[0])
-
-
-def test_block_inverse_2x2_matches_numpy():
-    S = random_pd(5)
-    inv = block_inverse_2x2(S, 2)
-    assert np.allclose(inv, np.linalg.inv(S), atol=1e-9)
-    with pytest.raises(SingularPivot):
-        block_inverse_2x2(np.diag([1.0, 0.0, 2.0]), 1)
 
 
 def test_direct_sum_layout():
