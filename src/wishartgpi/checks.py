@@ -272,6 +272,7 @@ def gpi_sandwich(
     workers: int = 1,
     z_threshold: float = 3.0,
     bounds: tuple[str, ...] = ("lower", "upper"),
+    override_finiteness: bool = False,
 ) -> dict[str, InequalityVerdict]:
     """Two-sided check on the joint inverse-minor moment E prod |X_ii|^(-nu_i).
 
@@ -284,13 +285,14 @@ def gpi_sandwich(
     bound integral. The upper bound does not depend on k.
 
     Raises UpperBoundUnavailable when some nu_i falls outside its
-    integral convergence window.
+    integral convergence window, and InfiniteMoment when a moment is not
+    guaranteed finite unless `override_finiteness` allows Unknown.
     """
     if any(s != -1 for s in exps.signs):
         raise ValueError("the sandwich applies to all-inverted exponents (every sign -1)")
     left_ix, right_ix = _split_groups(model.d, k)
     groups = [range(model.d)] + ([left_ix, right_ix] if "lower" in bounds else [])
-    draw, cols = product_columns(model, exps, groups)
+    draw, cols = product_columns(model, exps, groups, override_finiteness)
     est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
     full = est.column(cols.index[0])
     out: dict[str, InequalityVerdict] = {}

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _sigma_instances,
     exit_code_for,
     parse_config,
     run,
@@ -79,18 +80,7 @@ def _cmd_moments(args) -> int:
 def _cmd_sample(args) -> int:
     config = _load_config(args.config)
     spec = BlockSpec(config.block_sizes)
-    source = config.sigma_source
-    if source["kind"] == "explicit":
-        sigma = np.array(source["matrix"], dtype=float)
-    else:
-        from .harness import _SIGMA_STREAM_BASE
-        from .wishart import random_correlation
-
-        sigma = random_correlation(
-            spec.total,
-            RngStream(config.seed, _SIGMA_STREAM_BASE),
-            jitter=float(source.get("jitter", 1e-6)),
-        )
+    _, sigma = next(_sigma_instances(config, spec))
     model = WishartModel(config.alpha, sigma, spec)
     draws = sample(model, RngStream(config.seed), size=args.count)
     print(json.dumps({

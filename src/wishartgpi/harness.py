@@ -5,6 +5,8 @@ where the scale matrices come from, the exponents or thresholds, sample
 counts and seeding. ``run`` executes one verdict per (scale-matrix
 instance x split) and writes a fixed-column CSV plus a JSON report that
 embeds every random matrix, making each row standalone-reproducible.
+What the harness knows about each inequality kind, from its config
+fields to its exponents column, is one entry of ``KINDS``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from math import inf
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .montecarlo import (
 )
 from .checks import (
     BernsteinSpec,
-    InequalityVerdict,
     RadialSpec,
     STATEMENTS,
     bernstein_pair_check,
@@ -43,8 +45,6 @@ from .checks import (
     opposite_gpi_lower,
     opposite_gpi_upper,
     product_moment_conjecture_check,
-    proved_status,
-    split_model,
     tail_probability_conjecture_check,
     verdict_from,
 )
@@ -66,18 +66,6 @@ SCHEMA_VERSION = 1
 # Default directory for report files when a config gives a relative
 # output path; all other behavior comes from the config itself.
 OUTPUT_DIR_ENV = "WISHARTGPI_OUTPUT_DIR"
-
-INEQUALITY_IDS = (
-    "sandwich",
-    "conj11",
-    "conj36",
-    "opp_lower",
-    "opp_upper",
-    "bernstein",
-    "eigen",
-    "elliptical",
-    "lt_order",
-)
 
 # Reserved stream namespace for drawing random scale matrices; row
 # plans sit at row_index * ROLE_STRIDE, far below this.
@@ -111,7 +99,10 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One inequality sweep, parsed from (and serializable to) JSON."""
+    """One inequality sweep, parsed from (and serializable to) JSON.
+
+    ``params`` holds the kind's typed parameters from `parse_config`; the JSON echo omits it.
+    """
 
     inequality_id: str
     d: int
@@ -123,20 +114,21 @@ class ExperimentConfig:
     z_threshold: float = 3.0
     split: object = "all"
     exponents: dict | None = None
-    thresholds: tuple[float, ...] | None = None
+    thresholds: list | None = None
     bernstein: dict | None = None
     elliptical: dict | None = None
     t_blocks: list | None = None
     bound: str = "lower"
     workers: int | None = None
     output_path: str | None = None
+    override_finiteness: bool = False
     schema_version: int = SCHEMA_VERSION
+    params: object = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = asdict(self)
+        del out["params"]
         out["block_sizes"] = list(self.block_sizes)
-        if self.thresholds is not None:
-            out["thresholds"] = list(self.thresholds)
         return out
 
     @classmethod
@@ -151,8 +143,10 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _need(raw: dict, key: str, kind, what: str):
+def _need(raw: dict, key: str, kind, what: str, default=None):
     if key not in raw:
+        if default is not None:
+            return default
         raise ConfigError(f"missing field {key!r} ({what})")
     val = raw[key]
     if kind is float:
@@ -168,41 +162,225 @@ def _need(raw: dict, key: str, kind, what: str):
     return val
 
 
-def _parse_exponents(raw, d: int) -> ExponentVector:
-    if not isinstance(raw, dict) or "values" not in raw or "signs" not in raw:
+@dataclass(frozen=True)
+class Kind:
+    """How the harness parses, splits, runs and labels one inequality kind.
+
+    ``parse(raw, spec, alpha, override)`` validates the kind's fields and
+    returns ``(params, fields)``: the typed parameters ``run`` reads from
+    ``config.params`` and the config fields echoed to JSON.
+    ``run(c, s, k, o, n=, rng=, workers=, z_threshold=)`` runs the row of
+    config c at scale matrix s, split k and finiteness override o, and
+    returns its verdicts by experiment-id suffix; it calls the checks
+    through this module's globals, where a tracer may replace them.
+    ``top(spec)`` is the highest split (None: one row per scale matrix)
+    and ``column(params)`` the CSV exponents cell.
+    """
+
+    parse: Callable
+    run: Callable
+    top: Callable[[BlockSpec], int] | None = lambda spec: spec.d
+    column: Callable[[object], str] = lambda params: ""
+
+
+def _parse_exponents(raw: dict, n: int, ineq: str, sign: int | None = None):
+    exps = raw.get("exponents")
+    if not isinstance(exps, dict) or "values" not in exps or "signs" not in exps:
         raise ConfigError("exponents must be an object with 'values' and 'signs' lists")
     try:
-        exps = ExponentVector(tuple(raw["values"]), tuple(raw["signs"]))
+        exps = ExponentVector(tuple(exps["values"]), tuple(exps["signs"]))
     except (ValueError, TypeError) as err:
         raise ConfigError(f"bad exponents: {err}") from None
-    if exps.d != d:
-        raise ConfigError(f"exponents carry {exps.d} entries, config d={d}")
-    return exps
+    if exps.d != n:
+        raise ConfigError(f"exponents carry {exps.d} entries, config d={n}")
+    if sign is not None and any(s != sign for s in exps.signs):
+        raise ConfigError(f"{ineq} exponents must all carry sign {sign:+d}")
+    return exps, {"exponents": {"values": list(exps.values), "signs": list(exps.signs)}}
 
 
-def _parse_bernstein_spec(raw, p: int, which: str) -> BernsteinSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"bernstein.{which} must be an object")
-    A = np.array(raw.get("trace_offset", np.zeros((p, p))), dtype=float)
-    atoms = tuple(
-        (float(c), np.array(S, dtype=float)) for c, S in raw.get("atoms", [])
-    )
+def _require_finite(exps: ExponentVector, spec: BlockSpec, alpha: float, override: bool):
+    # Fail fast on finiteness/moment windows before any sampling.
+    verdict = finiteness_classify(alpha, spec.sizes, exps)
+    if verdict is Finiteness.INFINITE:
+        raise ConfigError("exponents sit at or beyond the divergence boundary; the moment is infinite")
+    if verdict is not Finiteness.FINITE_GUARANTEED and not override:
+        raise ConfigError("exponents leave the guaranteed-finite window; pass override_finiteness")
+
+
+def _signed_column(exps: ExponentVector) -> str:
+    return "|".join(_fmt(v) for v in exps.signed)
+
+
+def _model(config: ExperimentConfig, sigma: np.ndarray) -> WishartModel:
+    return WishartModel(config.alpha, sigma, BlockSpec(config.block_sizes))
+
+
+_SIDES = {"lower": ("lower",), "upper": ("upper",), "both": ("lower", "upper")}
+
+
+def _parse_sandwich(raw, spec, alpha, override):
+    exps, fields = _parse_exponents(raw, spec.d, "sandwich", -1)
+    bound = raw.get("bound", "lower")
+    if bound not in _SIDES:
+        raise ConfigError("bound must be 'lower', 'upper', or 'both'")
+    if spec.d < 2:
+        raise ConfigError("sandwich needs d >= 2")
+    _require_finite(exps, spec, alpha, override)
+    if bound in ("upper", "both"):
+        for i, p_i in enumerate(spec.sizes):
+            lo, hi, _rule = integral_window(p_i, alpha)
+            if not lo < exps.values[i] < hi:
+                raise ConfigError(
+                    f"upper bound needs nu_{i + 1} strictly inside ({lo}, {hi}) "
+                    f"for block size {p_i}, got {exps.values[i]}"
+                )
+    return exps, fields
+
+
+def _parse_conj36(raw, spec, alpha, override):
+    thresholds = raw.get("thresholds")
+    if thresholds is not None:
+        if not isinstance(thresholds, list) or len(thresholds) != spec.d:
+            raise ConfigError(f"thresholds must be a list of {spec.d} positive numbers or null")
+        thresholds = tuple(float(t) for t in thresholds)
+        if any(t <= 0 for t in thresholds):
+            raise ConfigError("thresholds must be positive")
+    return thresholds, {"thresholds": thresholds and list(thresholds)}
+
+
+def _opposite(ineq: str, want: Callable[[int], tuple], pattern: str, check: Callable) -> Kind:
+    # Positive magnitudes with fixed signs; check() fetches the check when a row runs.
+    def parse(raw, spec, alpha, override):
+        exps, fields = _parse_exponents(raw, spec.d, ineq)
+        if spec.d < 2 or exps.signs != want(spec.d) or any(v <= 0 for v in exps.values):
+            raise ConfigError(f"{ineq} needs positive magnitudes with signs {pattern}")
+        _require_finite(exps, spec, alpha, override)
+        return exps, fields
+
+    def run_row(c, s, k, o, **mc):
+        return {"": check()(_model(c, s), c.params.values, override_finiteness=o, **mc)}
+
+    return Kind(parse, run_row, column=_signed_column)
+
+
+def _parse_bernstein(raw, spec, alpha, override):
+    if spec.d != 2:
+        raise ConfigError("bernstein needs exactly two blocks")
+    braw = _need(raw, "bernstein", dict, "functional pair")
+    pair = []
+    for which, p in zip("fg", spec.sizes):
+        fraw = braw.get(which)
+        if not isinstance(fraw, dict):
+            raise ConfigError(f"bernstein.{which} must be an object")
+        A = np.array(fraw.get("trace_offset", np.zeros((p, p))), dtype=float)
+        atoms = tuple((float(c), np.array(S, dtype=float)) for c, S in fraw.get("atoms", []))
+        try:
+            pair.append(BernsteinSpec(A, atoms))
+        except ValueError as err:
+            raise ConfigError(f"bernstein.{which}: {err}") from None
+        if pair[-1].dim != p:
+            raise ConfigError(f"bernstein.{which} has dimension {pair[-1].dim}, block needs {p}")
+    return tuple(pair), {"bernstein": dict(braw)}
+
+
+def _parse_elliptical(raw, spec, alpha, override):
+    eraw = _need(raw, "elliptical", dict, "sphere exponents and radial law")
+    alphas = eraw.get("alphas")
+    if not isinstance(alphas, list) or len(alphas) != spec.total:
+        raise ConfigError(f"elliptical.alphas must list {spec.total} exponents")
+    if any((not isinstance(a, (int, float))) or a < 0 for a in alphas):
+        raise ConfigError("elliptical.alphas must be nonnegative numbers")
+    rraw = eraw.get("radial", {"kind": "chisq"})
     try:
-        spec = BernsteinSpec(A, atoms)
-    except ValueError as err:
-        raise ConfigError(f"bernstein.{which}: {err}") from None
-    if spec.dim != p:
-        raise ConfigError(f"bernstein.{which} has dimension {spec.dim}, block needs {p}")
-    return spec
+        radial = RadialSpec(**rraw)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"elliptical.radial: {err}") from None
+    return (tuple(float(a) for a in alphas), radial), {"elliptical": dict(eraw)}
+
+
+def _parse_lt_order(raw, spec, alpha, override):
+    traw = _need(raw, "t_blocks", list, "transform argument blocks")
+    if len(traw) != spec.d:
+        raise ConfigError(f"t_blocks must hold {spec.d} matrices")
+    t_blocks = []
+    for i, entry in enumerate(traw):
+        t = np.atleast_2d(np.array(entry, dtype=float))
+        if t.shape != (spec.sizes[i], spec.sizes[i]):
+            raise ConfigError(f"t_blocks[{i}] must be {spec.sizes[i]}x{spec.sizes[i]}, got {t.shape}")
+        lam_min = float(np.linalg.eigvalsh(as_symmetric(t))[0])
+        if lam_min < -1e-10 * max(1.0, float(np.abs(t).max())):
+            raise ConfigError(f"t_blocks[{i}] is not nonnegative definite")
+        t_blocks.append(t)
+    return (t_blocks, direct_sum(*t_blocks)), {"t_blocks": [t.tolist() for t in t_blocks]}
+
+
+def _run_lt_order(config, sigma, split, override, **mc):
+    t_blocks, T = config.params
+    model = _model(config, sigma)
+    gap = lt_order_gap(model, split, t_blocks)
+    lhs = laplace_transform(model, T)
+    return {"": verdict_from(
+        lhs, lhs - gap, ">=", config.z_threshold,
+        statement=STATEMENTS["lt_order"], status="proved",
+        detail={"gap": gap, "split": split},
+    )}
+
+
+KINDS = {
+    "sandwich": Kind(
+        _parse_sandwich,
+        lambda c, s, k, o, **mc: gpi_sandwich(
+            _model(c, s), c.params, k, bounds=_SIDES[c.bound], override_finiteness=o, **mc
+        ),
+        column=_signed_column,
+    ),
+    "conj11": Kind(
+        lambda raw, spec, alpha, o: _parse_exponents(raw, spec.d, "conj11", 1),
+        lambda c, s, k, o, **mc: {"": product_moment_conjecture_check(_model(c, s), c.params, k, **mc)},
+        column=_signed_column,
+    ),
+    "conj36": Kind(
+        _parse_conj36,
+        lambda c, s, k, o, **mc: {"": tail_probability_conjecture_check(_model(c, s), c.params, k, **mc)},
+    ),
+    "opp_lower": _opposite(
+        "opp_lower", lambda d: (-1,) + (1,) * (d - 1), "(-1, +1, ..., +1)", lambda: opposite_gpi_lower
+    ),
+    "opp_upper": _opposite(
+        "opp_upper", lambda d: (-1,) * (d - 1) + (1,), "(-1, ..., -1, +1)", lambda: opposite_gpi_upper
+    ),
+    "bernstein": Kind(
+        _parse_bernstein,
+        lambda c, s, k, o, **mc: {"": bernstein_pair_check(_model(c, s), *c.params, **mc)},
+        top=None,
+    ),
+    # eigen splits the ordered eigenvalues: one split point per coordinate
+    "eigen": Kind(
+        lambda raw, spec, alpha, o: _parse_exponents(raw, spec.total, "eigen", 1),
+        lambda c, s, k, o, **mc: {"": eigen_gpi_check(_model(c, s), c.params.values, k, **mc)},
+        top=lambda spec: spec.total,
+        column=_signed_column,
+    ),
+    "elliptical": Kind(
+        _parse_elliptical,
+        lambda c, s, k, o, **mc: {"": elliptical_gpi_check(np.linalg.cholesky(s), *c.params, **mc)},
+        top=None,
+        column=lambda params: "|".join(_fmt(a) for a in params[0]),
+    ),
+    "lt_order": Kind(_parse_lt_order, _run_lt_order),
+}
+
+INEQUALITY_IDS = tuple(KINDS)
 
 
 def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig.
 
     All windows and shape constraints that do not depend on a concrete
-    random scale matrix are checked here, before any sampling. The
-    finiteness refusal can be lifted either by the keyword or by an
-    "override_finiteness": true field in the document.
+    random scale matrix are checked here, before any sampling, and the
+    kind's fields become the typed parameters `run` uses. The keyword or
+    a document field "override_finiteness": true lifts the finiteness
+    refusal; the config records either, and `run` honours it.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -210,8 +388,9 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
     ineq = _need(raw, "inequality_id", str, "which inequality to check")
-    if ineq not in INEQUALITY_IDS:
-        raise ConfigError(f"unknown inequality_id {ineq!r}; valid: {', '.join(INEQUALITY_IDS)}")
+    if ineq not in KINDS:
+        raise ConfigError(f"unknown inequality_id {ineq!r}; valid: {', '.join(KINDS)}")
+    kind = KINDS[ineq]
     d = _need(raw, "d", int, "number of diagonal blocks")
     sizes = _need(raw, "block_sizes", list, "block sizes")
     try:
@@ -229,30 +408,29 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     seed = _need(raw, "seed", int, "stream seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    z_threshold = float(raw.get("z_threshold", 3.0))
+    z_threshold = _need(raw, "z_threshold", float, "z-score cutoff", 3.0)
     if z_threshold <= 0:
         raise ConfigError("z_threshold must be positive")
 
     source = _need(raw, "sigma_source", dict, "where scale matrices come from")
-    kind = source.get("kind")
-    if kind == "explicit":
-        mat = np.array(source.get("matrix"), dtype=float)
+    if source.get("kind") == "explicit":
+        try:
+            mat = np.array(source.get("matrix"), dtype=float)
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"sigma_source.matrix: {err}") from None
         if mat.shape != (spec.total, spec.total):
-            raise ConfigError(
-                f"sigma_source.matrix must be {spec.total}x{spec.total}, got {mat.shape}"
-            )
+            raise ConfigError(f"sigma_source.matrix must be {spec.total}x{spec.total}, got {mat.shape}")
         try:
             sym = as_symmetric(mat)
         except ValueError as err:
             raise ConfigError(f"sigma_source.matrix: {err}") from None
         if not is_positive_definite(sym):
             raise ConfigError("sigma_source.matrix is not positive definite")
-    elif kind == "random":
+    elif source.get("kind") == "random":
         count = source.get("count")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("sigma_source.random needs a positive integer 'count'")
-        jitter = source.get("jitter", 1e-6)
-        if not isinstance(jitter, (int, float)) or jitter < 0:
+        if _need(source, "jitter", float, "diagonal jitter", 0.0) < 0:
             raise ConfigError("sigma_source.jitter must be a nonnegative number")
     else:
         raise ConfigError("sigma_source.kind must be 'explicit' or 'random'")
@@ -261,107 +439,24 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     if split != "all":
         if not isinstance(split, int) or isinstance(split, bool):
             raise ConfigError("split must be an integer or 'all'")
-        top = spec.total if ineq == "eigen" else d
+        if kind.top is None:
+            raise ConfigError(f"{ineq} has no split point; split must be 'all'")
+        top = kind.top(spec)
         if not 2 <= split <= top:
             raise ConfigError(f"split must lie in 2..{top}, got {split}")
 
-    exponents = None
-    thresholds = None
-    bern = None
-    ellip = None
-    t_blocks = None
-    bound = raw.get("bound", "lower")
-
-    if ineq in ("sandwich", "conj11", "opp_lower", "opp_upper"):
-        exponents = _parse_exponents(raw.get("exponents"), d)
-        if ineq == "sandwich":
-            if any(s != -1 for s in exponents.signs):
-                raise ConfigError("sandwich exponents must all carry sign -1")
-            if bound not in ("lower", "upper", "both"):
-                raise ConfigError("bound must be 'lower', 'upper', or 'both'")
-            if d < 2:
-                raise ConfigError("sandwich needs d >= 2")
-        if ineq == "conj11" and any(s != 1 for s in exponents.signs):
-            raise ConfigError("conj11 exponents must all carry sign +1")
-        if ineq == "opp_lower":
-            want = (-1,) + (1,) * (d - 1)
-            if d < 2 or exponents.signs != want or any(v <= 0 for v in exponents.values):
-                raise ConfigError("opp_lower needs positive magnitudes with signs (-1, +1, ..., +1)")
-        if ineq == "opp_upper":
-            want = (-1,) * (d - 1) + (1,)
-            if d < 2 or exponents.signs != want or any(v <= 0 for v in exponents.values):
-                raise ConfigError("opp_upper needs positive magnitudes with signs (-1, ..., -1, +1)")
-        # Fail fast on finiteness/moment windows before any sampling.
-        if ineq in ("sandwich", "opp_lower", "opp_upper"):
-            verdict = finiteness_classify(alpha, spec.sizes, exponents)
-            if verdict is Finiteness.INFINITE:
-                raise ConfigError(
-                    "exponents sit at or beyond the divergence boundary; the moment is infinite"
-                )
-            allow = override_finiteness or bool(raw.get("override_finiteness"))
-            if verdict is not Finiteness.FINITE_GUARANTEED and not allow:
-                raise ConfigError(
-                    "exponents leave the guaranteed-finite window; pass override_finiteness"
-                )
-        if ineq == "sandwich" and bound in ("upper", "both"):
-            for i, p_i in enumerate(spec.sizes):
-                lo, hi, _rule = integral_window(p_i, alpha)
-                if not lo < exponents.values[i] < hi:
-                    raise ConfigError(
-                        f"upper bound needs nu_{i + 1} strictly inside ({lo}, {hi}) "
-                        f"for block size {p_i}, got {exponents.values[i]}"
-                    )
-    elif ineq == "eigen":
-        exponents = _parse_exponents(raw.get("exponents"), spec.total)
-        if any(s != 1 for s in exponents.signs):
-            raise ConfigError("eigen exponents must all carry sign +1")
-    elif ineq == "conj36":
-        t_raw = raw.get("thresholds")
-        if t_raw is not None:
-            if not isinstance(t_raw, list) or len(t_raw) != d:
-                raise ConfigError(f"thresholds must be a list of {d} positive numbers or null")
-            thresholds = tuple(float(t) for t in t_raw)
-            if any(t <= 0 for t in thresholds):
-                raise ConfigError("thresholds must be positive")
-    elif ineq == "bernstein":
-        if d != 2:
-            raise ConfigError("bernstein needs exactly two blocks")
-        braw = _need(raw, "bernstein", dict, "functional pair")
-        bern = {
-            "f": _parse_bernstein_spec(braw.get("f"), spec.sizes[0], "f"),
-            "g": _parse_bernstein_spec(braw.get("g"), spec.sizes[1], "g"),
-        }
-    elif ineq == "elliptical":
-        eraw = _need(raw, "elliptical", dict, "sphere exponents and radial law")
-        alphas = eraw.get("alphas")
-        if not isinstance(alphas, list) or len(alphas) != spec.total:
-            raise ConfigError(f"elliptical.alphas must list {spec.total} exponents")
-        if any((not isinstance(a, (int, float))) or a < 0 for a in alphas):
-            raise ConfigError("elliptical.alphas must be nonnegative numbers")
-        rraw = eraw.get("radial", {"kind": "chisq"})
-        try:
-            radial = RadialSpec(**rraw)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"elliptical.radial: {err}") from None
-        ellip = {"alphas": tuple(float(a) for a in alphas), "radial": radial}
-    elif ineq == "lt_order":
-        traw = _need(raw, "t_blocks", list, "transform argument blocks")
-        if len(traw) != d:
-            raise ConfigError(f"t_blocks must hold {d} matrices")
-        t_blocks = []
-        for i, entry in enumerate(traw):
-            t = np.atleast_2d(np.array(entry, dtype=float))
-            if t.shape != (spec.sizes[i], spec.sizes[i]):
-                raise ConfigError(
-                    f"t_blocks[{i}] must be {spec.sizes[i]}x{spec.sizes[i]}, got {t.shape}"
-                )
-            lam_min = float(np.linalg.eigvalsh(as_symmetric(t))[0])
-            if lam_min < -1e-10 * max(1.0, float(np.abs(t).max())):
-                raise ConfigError(f"t_blocks[{i}] is not nonnegative definite")
-            t_blocks.append(t.tolist())
+    override = _need(raw, "override_finiteness", bool, "finiteness override", False) or override_finiteness
+    try:
+        params, fields = kind.parse(raw, spec, alpha, override)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"bad {ineq} field: {err}") from None
 
     workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (
+        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+    ):
         raise ConfigError("workers must be a positive integer or null")
     output_path = raw.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -377,15 +472,12 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
         seed=seed,
         z_threshold=z_threshold,
         split=split,
-        exponents=None if exponents is None else {"values": list(exponents.values), "signs": list(exponents.signs)},
-        thresholds=thresholds,
-        bernstein=None if bern is None else dict(raw["bernstein"]),
-        elliptical=None if ellip is None else dict(raw["elliptical"]),
-        t_blocks=t_blocks,
-        bound=bound,
+        bound=raw.get("bound", "lower"),
         workers=workers,
         output_path=output_path,
-        schema_version=SCHEMA_VERSION,
+        override_finiteness=override,
+        params=params,
+        **fields,
     )
 
 
@@ -464,19 +556,6 @@ def _sigma_instances(config: ExperimentConfig, spec: BlockSpec):
         )
 
 
-def _splits(config: ExperimentConfig, spec: BlockSpec):
-    if config.inequality_id in ("bernstein", "elliptical"):
-        return [None]
-    top = spec.total if config.inequality_id == "eigen" else config.d
-    if config.split == "all":
-        return list(range(2, top + 1))
-    return [int(config.split)]
-
-
-def _row_plan(config: ExperimentConfig, row_index: int) -> StreamPlan:
-    return StreamPlan(config.seed, base=row_index * ROLE_STRIDE)
-
-
 def _detail_scrub(obj):
     if isinstance(obj, dict):
         return {k: _detail_scrub(v) for k, v in obj.items()}
@@ -503,27 +582,34 @@ def run(
     chunk threads cost more than they save on numpy-bound chunks.
     """
     spec = BlockSpec(config.block_sizes)
+    kind = KINDS[config.inequality_id]
     eff_workers = workers if workers is not None else config.workers
     if eff_workers is None:
         eff_workers = 1
-    exps = None
-    if config.exponents is not None:
-        exps = ExponentVector(tuple(config.exponents["values"]), tuple(config.exponents["signs"]))
+    override = override_finiteness or config.override_finiteness
+    exponents = kind.column(config.params)
+    if kind.top is None:
+        splits = [None]
+    elif config.split == "all":
+        splits = range(2, kind.top(spec) + 1)
+    else:
+        splits = [config.split]
 
     rows: list[ReportRow] = []
     row_index = 0
     for sigma_idx, sigma in _sigma_instances(config, spec):
         digest = sigma_digest(sigma)
         sigma_list = sigma.tolist()
-        for split in _splits(config, spec):
-            plan = _row_plan(config, row_index)
+        for split in splits:
+            plan = StreamPlan(config.seed, base=row_index * ROLE_STRIDE)
             row_index += 1
             started = time.perf_counter()
-            verdicts = _dispatch(
-                config, spec, sigma, exps, split, plan, eff_workers, override_finiteness
+            verdicts = kind.run(
+                config, sigma, split, override,
+                n=config.n_samples, rng=plan, workers=eff_workers, z_threshold=config.z_threshold,
             )
             elapsed_ms = (time.perf_counter() - started) * 1e3
-            for suffix, verdict in verdicts:
+            for suffix, verdict in verdicts.items():
                 tag = f"{config.inequality_id}-s{sigma_idx:02d}"
                 if split is not None:
                     tag += f"-k{split}"
@@ -542,7 +628,7 @@ def run(
                         alpha=config.alpha,
                         block_sizes=config.block_sizes,
                         sigma_digest=digest,
-                        exponents=_exponent_column(config, exps),
+                        exponents=exponents,
                         lhs=verdict.lhs,
                         lhs_se=verdict.lhs_se,
                         rhs=verdict.rhs,
@@ -558,83 +644,6 @@ def run(
                     )
                 )
     return rows
-
-
-def _exponent_column(config: ExperimentConfig, exps: ExponentVector | None) -> str:
-    if exps is not None:
-        return "|".join(_fmt(v) for v in exps.signed)
-    if config.inequality_id == "elliptical":
-        return "|".join(_fmt(a) for a in config.elliptical["alphas"])
-    return ""
-
-
-def _dispatch(
-    config: ExperimentConfig,
-    spec: BlockSpec,
-    sigma: np.ndarray,
-    exps: ExponentVector | None,
-    split,
-    plan: StreamPlan,
-    workers: int,
-    override_finiteness: bool,
-) -> list[tuple[str, InequalityVerdict]]:
-    ineq = config.inequality_id
-    n = config.n_samples
-    zt = config.z_threshold
-    if ineq in ("sandwich", "conj11", "conj36", "opp_lower", "opp_upper", "eigen", "lt_order"):
-        model = WishartModel(config.alpha, sigma, spec)
-    if ineq == "sandwich":
-        sides = ("lower", "upper") if config.bound == "both" else (config.bound,)
-        out = gpi_sandwich(model, exps, split, n, plan, workers=workers, z_threshold=zt, bounds=sides)
-        return [(side, out[side]) for side in sides]
-    if ineq == "conj11":
-        v = product_moment_conjecture_check(model, exps, split, n, plan, workers=workers, z_threshold=zt)
-        return [("", v)]
-    if ineq == "conj36":
-        v = tail_probability_conjecture_check(
-            model, config.thresholds, split, n, plan, workers=workers, z_threshold=zt
-        )
-        return [("", v)]
-    if ineq == "opp_lower":
-        v = opposite_gpi_lower(
-            model, exps.values, n, plan, workers=workers, z_threshold=zt,
-            override_finiteness=override_finiteness,
-        )
-        return [("", v)]
-    if ineq == "opp_upper":
-        v = opposite_gpi_upper(
-            model, exps.values, n, plan, workers=workers, z_threshold=zt,
-            override_finiteness=override_finiteness,
-        )
-        return [("", v)]
-    if ineq == "eigen":
-        v = eigen_gpi_check(model, exps.values, split, n, plan, workers=workers, z_threshold=zt)
-        return [("", v)]
-    if ineq == "lt_order":
-        t_blocks = [np.array(t, dtype=float) for t in config.t_blocks]
-        gap = lt_order_gap(model, split, t_blocks)
-        T = direct_sum(*t_blocks)
-        lhs = laplace_transform(model, T)
-        v = verdict_from(
-            lhs, lhs - gap, ">=", zt,
-            statement=STATEMENTS["lt_order"], status="proved",
-            detail={"gap": gap, "split": split},
-        )
-        return [("", v)]
-    if ineq == "bernstein":
-        model = WishartModel(config.alpha, sigma, spec)
-        braw = config.bernstein
-        f = _parse_bernstein_spec(braw["f"], spec.sizes[0], "f")
-        g = _parse_bernstein_spec(braw["g"], spec.sizes[1], "g")
-        v = bernstein_pair_check(model, f, g, n, plan, workers=workers, z_threshold=zt)
-        return [("", v)]
-    if ineq == "elliptical":
-        A = np.linalg.cholesky(sigma)
-        alphas = tuple(float(a) for a in config.elliptical["alphas"])
-        radial = RadialSpec(**config.elliptical.get("radial", {"kind": "chisq"}))
-        v = elliptical_gpi_check(A, alphas, radial, n, plan, workers=workers, z_threshold=zt)
-        return [("", v)]
-    raise ConfigError(f"unknown inequality_id {ineq!r}")
 
 
 def render_csv(rows: list[ReportRow]) -> str:
@@ -677,8 +686,6 @@ def write_reports(config: ExperimentConfig, rows: list[ReportRow]) -> tuple[str,
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and (obj == inf or obj == -inf):
-        return repr(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -692,7 +699,6 @@ def exit_code_for(rows: list[ReportRow]) -> int:
 
 
 def _suite_oracles(log) -> list[tuple[str, bool, str]]:
-    from math import exp, log as ln
     from .bounds import (
         bound_integral_beta_1d,
         integral_quadrature_1d,

@@ -24,7 +24,7 @@ p x p matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import exp, log, pi
 

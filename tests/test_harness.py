@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wishartgpi.errors import ConfigError
 from wishartgpi.harness import (
     CSV_COLUMNS,
     INEQUALITY_IDS,
+    KINDS,
     SCHEMA_VERSION,
     ExperimentConfig,
     ReportRow,
@@ -22,7 +24,7 @@ from wishartgpi.harness import (
     verify_suite,
     write_reports,
 )
-from wishartgpi.checks import STATEMENTS
+from wishartgpi.checks import STATEMENTS, BernsteinSpec, RadialSpec
 
 
 def sandwich_raw(**over):
@@ -219,6 +221,8 @@ def test_parse_config_bernstein():
         parse_config({**raw, "d": 3, "block_sizes": [1, 1, 1]})
     with pytest.raises(ConfigError, match="bernstein"):
         parse_config({**raw, "bernstein": {"f": {}}})
+    with pytest.raises(ConfigError, match="no split point"):
+        parse_config({**raw, "split": 2})
 
 
 # ---------------------------------------------------------------- running
@@ -386,7 +390,8 @@ def test_write_reports_json_document(tmp_path):
 
 
 def test_statement_registry_covers_all_ids():
-    assert set(INEQUALITY_IDS) == set(STATEMENTS)
+    assert INEQUALITY_IDS == tuple(KINDS)
+    assert set(KINDS) == set(STATEMENTS)
     for text in STATEMENTS.values():
         assert text and "," not in text  # stays a single CSV cell unquoted
 
@@ -444,16 +449,14 @@ def test_cli_eigen_zero_power_group_runs(tmp_path):
 
 
 def test_run_defaults_to_one_worker(monkeypatch):
-    import wishartgpi.harness as harness
-
+    kind = KINDS["sandwich"]
     seen = []
-    dispatch = harness._dispatch
 
-    def spy(config, spec, sigma, exps, split, plan, workers, override):
-        seen.append(workers)
-        return dispatch(config, spec, sigma, exps, split, plan, workers, override)
+    def spy(config, sigma, split, override, **mc):
+        seen.append(mc["workers"])
+        return kind.run(config, sigma, split, override, **mc)
 
-    monkeypatch.setattr(harness, "_dispatch", spy)
+    monkeypatch.setitem(KINDS, "sandwich", replace(kind, run=spy))
     run(parse_config(sandwich_raw(n_samples=500)))
     run(parse_config(sandwich_raw(n_samples=500, workers=2)))
     run(parse_config(sandwich_raw(n_samples=500)), workers=3)
@@ -486,3 +489,127 @@ def test_cli_sample_shape(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["draws"]) == 3
     assert np.array(doc["draws"][0]).shape == (2, 2)
+
+
+def kind_raw(ineq, **over):
+    """A small valid config for `ineq` on two scalar blocks."""
+    raw = {
+        "schema_version": 1,
+        "inequality_id": ineq,
+        "d": 2,
+        "block_sizes": [1, 1],
+        "alpha": 5.0,
+        "sigma_source": {"kind": "explicit", "matrix": [[1.0, 0.4], [0.4, 1.0]]},
+        "n_samples": 1000,
+        "seed": 3,
+    }
+    raw.update({
+        "conj36": {},
+        "lt_order": {"t_blocks": [[[0.5]], [[0.5]]]},
+        "bernstein": {"bernstein": {"f": {"atoms": [[1.0, [[0.7]]]]}, "g": {"atoms": [[1.0, [[0.3]]]]}}},
+        "elliptical": {"elliptical": {"alphas": [1.0, 1.0], "radial": {"kind": "chisq"}}},
+    }[ineq])
+    raw.update(over)
+    return raw
+
+
+def _cli_run(tmp_path, raw, *flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(raw, output_path=str(tmp_path / "out"))), encoding="utf-8")
+    return main(["run", "--config", str(cfg_path), *flags])
+
+
+# A 2x2 block at alpha 6 with an inverted exponent of 0.3 sits below the
+# guaranteed-finite window ((p-1)/2 = 0.5), so each config needs the override.
+UNKNOWN_FINITENESS = {
+    "sandwich": {"values": [0.3, 0.3], "signs": [-1, -1]},
+    "opp_lower": {"values": [0.3, 1.0], "signs": [-1, 1]},
+    "opp_upper": {"values": [0.3, 1.0], "signs": [-1, 1]},
+}
+
+
+@pytest.mark.parametrize("how", ["document", "flag"])
+@pytest.mark.parametrize("ineq", sorted(UNKNOWN_FINITENESS))
+def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
+    raw = {
+        "inequality_id": ineq,
+        "d": 2,
+        "block_sizes": [2, 1],
+        "alpha": 6.0,
+        "sigma_source": {"kind": "random", "count": 1},
+        "exponents": UNKNOWN_FINITENESS[ineq],
+        "n_samples": 2000,
+        "seed": 11,
+    }
+    with pytest.raises(ConfigError, match="override_finiteness"):
+        parse_config(raw)
+    if how == "document":
+        assert _cli_run(tmp_path, dict(raw, override_finiteness=True)) == 0
+    else:
+        assert _cli_run(tmp_path, raw, "--override-finiteness") == 0
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["config"]["override_finiteness"] is True
+    assert len(doc["rows"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        sandwich_raw(z_threshold="abc"),
+        sandwich_raw(z_threshold=None),
+        sandwich_raw(sigma_source={"kind": "explicit", "matrix": "x"}),
+        sandwich_raw(sigma_source={"kind": "random", "count": 1, "jitter": True}),
+        sandwich_raw(workers=True),
+        sandwich_raw(override_finiteness="yes"),
+        kind_raw("conj36", thresholds=["a", 1.0]),
+        kind_raw("lt_order", t_blocks=[["x"], [[0.5]]]),
+        kind_raw("bernstein", bernstein={"f": {"atoms": [[1.0]]}, "g": {"atoms": []}}),
+        kind_raw("bernstein", bernstein={"f": {"trace_offset": "x"}, "g": {"atoms": []}}),
+    ],
+)
+def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):
+    assert _cli_run(tmp_path, raw) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        {"kind": "random", "count": 2},
+        # asymmetric within tolerance: the harness symmetrizes it
+        {"kind": "explicit", "matrix": [[1.0, 0.5], [0.5 + 1e-12, 1.0]]},
+    ],
+)
+def test_cli_sample_uses_the_run_scale_matrix(tmp_path, capsys, source):
+    raw = sandwich_raw(sigma_source=source, n_samples=500, output_path=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        run_sigma = json.load(fh)["rows"][0]["sigma"]
+    capsys.readouterr()
+    assert main(["sample", "--config", str(cfg_path), "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == run_sigma
+
+
+def test_run_builds_no_kind_parameters_per_row(monkeypatch):
+    random3 = {"kind": "random", "count": 3}
+    configs = [parse_config(kind_raw(ineq, sigma_source=random3)) for ineq in ("bernstein", "elliptical")]
+    built = []
+
+    def counting(cls):
+        original = cls.__post_init__
+
+        def post_init(self):
+            built.append(cls.__name__)
+            original(self)
+
+        return post_init
+
+    for cls in (BernsteinSpec, RadialSpec):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    for cfg in configs:
+        assert len(run(cfg)) == 3
+    assert built == []
