@@ -14,11 +14,9 @@ inverse-minor moments.
 
 from __future__ import annotations
 
-from math import exp, log, sqrt
+from math import exp, lgamma, log, sqrt
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betaln
 
 from .errors import DivergentIntegral, NotPositiveDefinite
 from .linalg import as_symmetric, sym_eigenvalues
@@ -89,6 +87,8 @@ def log_minor_bound_integral(M, alpha: float, nu: float) -> float:
     inv_spectrum = 1.0 / (sqrt(2.0) * lam)
     total = 0.0
     for kappa, a_k in zonal_expansion_coefficients(p).items():
+        if a_k == 0.0:
+            continue
         lg = (
             log_partition_gamma_upper(p, a_up, kappa)
             + log_partition_gamma_lower(p, b_down, kappa)
@@ -111,7 +111,8 @@ def bound_integral_beta_1d(m: float, alpha: float, nu: float) -> float:
         raise NotPositiveDefinite(f"scale m must be positive, got {m}")
     if not 0.0 < nu < alpha / 2.0:
         raise DivergentIntegral(f"nu={nu} outside (0, {alpha / 2.0})")
-    return exp((1.0 - nu) * _LOG_2 - 2.0 * nu * log(m) + betaln(2.0 * nu, alpha - 2.0 * nu))
+    a, b = 2.0 * nu, alpha - 2.0 * nu
+    return exp((1.0 - nu) * _LOG_2 - 2.0 * nu * log(m) + lgamma(a) + lgamma(b) - lgamma(a + b))
 
 
 def integral_quadrature_1d(m: float, alpha: float, nu: float) -> float:
@@ -119,7 +120,11 @@ def integral_quadrature_1d(m: float, alpha: float, nu: float) -> float:
 
     Substitutes t = u^2 to tame the endpoint and integrates adaptively;
     accurate to well under 1e-8 relative inside the convergence window.
+    It is the package's only use of scipy, which is therefore imported
+    here rather than with the package.
     """
+    from scipy.integrate import quad
+
     if m <= 0.0:
         raise NotPositiveDefinite(f"scale m must be positive, got {m}")
     if not 0.0 < nu < alpha / 2.0:

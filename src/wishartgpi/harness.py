@@ -143,6 +143,11 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _is_number(val) -> bool:
+    # JSON numbers only: bool is an int subclass, but true is not 1.0 here.
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _need(raw: dict, key: str, kind, what: str, default=None):
     if key not in raw:
         if default is not None:
@@ -150,7 +155,7 @@ def _need(raw: dict, key: str, kind, what: str, default=None):
         raise ConfigError(f"missing field {key!r} ({what})")
     val = raw[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             raise ConfigError(f"field {key!r} must be a number, got {val!r}")
         return float(val)
     if kind is int:
@@ -187,6 +192,11 @@ def _parse_exponents(raw: dict, n: int, ineq: str, sign: int | None = None):
     exps = raw.get("exponents")
     if not isinstance(exps, dict) or "values" not in exps or "signs" not in exps:
         raise ConfigError("exponents must be an object with 'values' and 'signs' lists")
+    if not all(
+        isinstance(seq, (list, tuple)) and all(map(_is_number, seq))
+        for seq in (exps["values"], exps["signs"])
+    ):
+        raise ConfigError("exponents 'values' and 'signs' must be lists of numbers")
     try:
         exps = ExponentVector(tuple(exps["values"]), tuple(exps["signs"]))
     except (ValueError, TypeError) as err:
@@ -240,11 +250,15 @@ def _parse_sandwich(raw, spec, alpha, override):
 def _parse_conj36(raw, spec, alpha, override):
     thresholds = raw.get("thresholds")
     if thresholds is not None:
-        if not isinstance(thresholds, list) or len(thresholds) != spec.d:
+        if (
+            not isinstance(thresholds, list)
+            or len(thresholds) != spec.d
+            or not all(map(_is_number, thresholds))
+        ):
             raise ConfigError(f"thresholds must be a list of {spec.d} positive numbers or null")
         thresholds = tuple(float(t) for t in thresholds)
-        if any(t <= 0 for t in thresholds):
-            raise ConfigError("thresholds must be positive")
+        if not all(0 < t < inf for t in thresholds):
+            raise ConfigError("thresholds must be positive and finite")
     return thresholds, {"thresholds": thresholds and list(thresholds)}
 
 
@@ -288,8 +302,8 @@ def _parse_elliptical(raw, spec, alpha, override):
     alphas = eraw.get("alphas")
     if not isinstance(alphas, list) or len(alphas) != spec.total:
         raise ConfigError(f"elliptical.alphas must list {spec.total} exponents")
-    if any((not isinstance(a, (int, float))) or a < 0 for a in alphas):
-        raise ConfigError("elliptical.alphas must be nonnegative numbers")
+    if not all(_is_number(a) and 0 <= a < inf for a in alphas):
+        raise ConfigError("elliptical.alphas must be nonnegative finite numbers")
     rraw = eraw.get("radial", {"kind": "chisq"})
     try:
         radial = RadialSpec(**rraw)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndexOutOfRange, NotPositiveDefinite, SingularPivot
 
@@ -221,4 +220,9 @@ def direct_sum(*blocks) -> np.ndarray:
     mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
     if not mats:
         raise ValueError("direct_sum needs at least one block")
-    return scipy.linalg.block_diag(*mats)
+    out = np.zeros(tuple(map(sum, zip(*(m.shape for m in mats)))))
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -232,7 +232,7 @@ class ExponentVector:
     """Magnitudes and signs of the per-block determinant exponents.
 
     The moment under study is E prod_i |X_ii|^(signs[i] * values[i]) with
-    values[i] >= 0 and signs[i] in {-1, +1}.
+    values[i] finite and >= 0 and signs[i] in {-1, +1}.
     """
 
     values: tuple[float, ...]
@@ -243,8 +243,8 @@ class ExponentVector:
         signs = tuple(int(s) for s in self.signs)
         if len(values) != len(signs):
             raise ValueError("values and signs must have equal length")
-        if any(v < 0 for v in values):
-            raise ValueError(f"exponent magnitudes must be >= 0, got {values}")
+        if not all(isfinite(v) and v >= 0 for v in values):
+            raise ValueError(f"exponent magnitudes must be finite and >= 0, got {values}")
         if any(s not in (-1, 1) for s in signs):
             raise ValueError(f"signs must be -1 or +1, got {signs}")
         object.__setattr__(self, "values", values)

@@ -1,10 +1,20 @@
 """Multivariate gamma functions, integer partitions, and zonal polynomials.
 
 Zonal polynomials use the normalization in which the ones of a given
-weight k sum to ``(tr X)**k``. Tables of monomial-basis coefficients are
-built once per weight with exact rational arithmetic and memoized; the
-coefficients do not depend on the number of variables, so the cache is
-keyed by weight alone.
+weight k sum to ``(tr X)**k``. Their coefficients in the monomial
+symmetric functions m_lam are built once per weight in exact rational
+arithmetic and memoized; they do not depend on the number of variables,
+so that table is keyed by weight alone. Evaluation in p variables uses a
+second memoized table per (weight, p): the distinct exponent vectors of
+every m_lam with at most p parts, stacked, and each C_kappa's float
+coefficient row. One spectrum (or a batch) then takes one power-product
+over the stacked exponents, a segmented sum into the m_lam, and a dot
+product with the row.
+
+The expansion of prod_{i<j}(x_i + x_j) in zonal polynomials is exact as
+well: the product is multiplied out into integer monomial coefficients
+and solved against the weight-p(p-1)/2 table by substitution down the
+dominance order, in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, lgamma, log, pi, prod
 
 import numpy as np
@@ -215,20 +224,61 @@ def zonal_table(k: int) -> ZonalTable:
         return table
 
 
-def _eval_monomial_symmetric(lam, x: np.ndarray) -> np.ndarray:
-    # x has shape (..., p); lam has no zero parts and len(lam) <= p.
-    p = x.shape[-1]
-    ell = len(lam)
-    if ell == 0:
-        return np.ones(x.shape[:-1])
-    denom = prod(factorial(c) for c in Counter(lam).values())
-    total = np.zeros(x.shape[:-1])
-    for idx in permutations(range(p), ell):
-        term = np.ones(x.shape[:-1])
-        for r in range(ell):
-            term = term * x[..., idx[r]] ** lam[r]
-        total += term
-    return total / denom
+@dataclass(frozen=True)
+class _MonomialBasis:
+    """Monomial symmetric functions of one weight in p variables.
+
+    ``exponents`` stacks the distinct exponent vectors of every partition
+    lam of the weight with at most p parts, lam by lam in table order;
+    ``starts`` holds the row where each lam begins, so m_lam(x) is the sum
+    of x**e over its rows. ``rows[kappa]`` is C_kappa's float coefficient
+    on each m_lam, taken from the exact table.
+    """
+
+    exponents: np.ndarray
+    starts: np.ndarray
+    rows: dict[tuple[int, ...], np.ndarray]
+
+
+def _distinct_permutations(vec: tuple[int, ...]) -> list[tuple[int, ...]]:
+    if not vec:
+        return [()]
+    out = []
+    for v in sorted(set(vec), reverse=True):
+        rest = list(vec)
+        rest.remove(v)
+        out.extend((v,) + tail for tail in _distinct_permutations(tuple(rest)))
+    return out
+
+
+def _build_basis(table: ZonalTable, p: int) -> _MonomialBasis:
+    lams = [lam for lam in table.order if len(lam) <= p]
+    exponents, starts = [], []
+    for lam in lams:
+        starts.append(len(exponents))
+        exponents.extend(_distinct_permutations(lam + (0,) * (p - len(lam))))
+    rows = {
+        kappa: np.array([float(table.coeffs[kappa].get(lam, 0)) for lam in lams])
+        for kappa in lams
+    }
+    return _MonomialBasis(
+        exponents=np.array(exponents, dtype=np.int64).reshape(-1, p),
+        starts=np.array(starts, dtype=np.intp),
+        rows=rows,
+    )
+
+
+_BASIS_CACHE: dict[tuple[int, int], _MonomialBasis] = {}
+
+
+def _monomial_basis(k: int, p: int) -> _MonomialBasis:
+    table = zonal_table(k)
+    with _TABLE_LOCK:
+        basis = _BASIS_CACHE.get((k, p))
+        if basis is None:
+            basis = _build_basis(table, p)
+            _BASIS_CACHE[(k, p)] = basis
+        return basis
 
 
 def zonal_polynomial(kappa, eigenvalues) -> float | np.ndarray:
@@ -253,13 +303,25 @@ def zonal_polynomial(kappa, eigenvalues) -> float | np.ndarray:
     p = x.shape[-1]
     if len(kappa) > p:
         raise DomainError(f"partition {kappa} has more parts than variables ({p})")
-    table = zonal_table(sum(kappa))
-    row = table.coeffs[kappa]
-    out = np.zeros(x.shape[:-1])
-    for lam, c in row.items():
-        if len(lam) <= p:
-            out += float(c) * _eval_monomial_symmetric(lam, x)
+    basis = _monomial_basis(sum(kappa), p)
+    terms = np.prod(x[..., None, :] ** basis.exponents, axis=-1)
+    out = np.add.reduceat(terms, basis.starts, axis=-1) @ basis.rows[kappa]
     return float(out) if scalar else out
+
+
+def _pair_product_monomials(p: int) -> Counter:
+    # Integer coefficient of each monomial x^e in prod_{i<j} (x_i + x_j).
+    poly = Counter({(0,) * p: 1})
+    for i in range(p):
+        for j in range(i + 1, p):
+            nxt: Counter = Counter()
+            for e, c in poly.items():
+                for t in (i, j):
+                    bumped = list(e)
+                    bumped[t] += 1
+                    nxt[tuple(bumped)] += c
+            poly = nxt
+    return poly
 
 
 _EXPANSION_CACHE: dict[int, dict[tuple[int, ...], float]] = {}
@@ -269,12 +331,14 @@ _EXPANSION_LOCK = threading.Lock()
 def zonal_expansion_coefficients(p: int, cap: int = EXPANSION_P_CAP) -> dict[tuple[int, ...], float]:
     """Coefficients a_kappa with prod_{i<j}(x_i + x_j) = sum_kappa a_kappa C_kappa(x).
 
-    The product over the p(p-1)/2 unordered pairs of eigenvalues is a
-    symmetric polynomial of degree p(p-1)/2, so the sum runs over the
-    partitions of that weight with at most p parts. Coefficients are
-    recovered by least squares on random spectra and the reconstruction
-    residual is required to vanish to 1e-10, which would fail loudly if
-    the degree or the basis were wrong.
+    The product over the p(p-1)/2 unordered pairs of eigenvalues is the
+    Schur function s_delta, delta = (p-1, ..., 1, 0), a symmetric
+    polynomial of degree p(p-1)/2; the sum runs over the partitions of
+    that weight with at most p parts. The product is multiplied out into
+    integer monomial coefficients, and since C_kappa involves only the
+    m_lam with lam dominated by kappa, the a_kappa follow exactly in
+    rational arithmetic by substitution down the table order. Every
+    partition is a key; those whose exact coefficient is zero map to 0.0.
     """
     p = int(p)
     if p < 1:
@@ -283,24 +347,15 @@ def zonal_expansion_coefficients(p: int, cap: int = EXPANSION_P_CAP) -> dict[tup
         raise CapExceeded(f"p={p} exceeds expansion cap {cap}")
     with _EXPANSION_LOCK:
         cached = _EXPANSION_CACHE.get(p)
-        if cached is not None:
-            return dict(cached)
-    if p == 1:
-        coeffs = {(): 1.0}
-    else:
-        k = p * (p - 1) // 2
-        parts = [kappa for kappa in partitions_of(k) if len(kappa) <= p]
-        rng = np.random.default_rng(20240901)  # fixed: output must be deterministic
-        n = max(50, 2 * len(parts))
-        spectra = rng.uniform(0.5, 2.5, size=(n, p))
-        iu, ju = np.triu_indices(p, k=1)
-        target = np.prod(spectra[:, iu] + spectra[:, ju], axis=1)
-        design = np.column_stack([zonal_polynomial(kappa, spectra) for kappa in parts])
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        rel = np.linalg.norm(design @ coef - target) / np.linalg.norm(target)
-        if not rel <= 1e-10:
-            raise RuntimeError(f"zonal expansion residual {rel:.3e} exceeds 1e-10 at p={p}")
-        coeffs = {kappa: float(c) for kappa, c in zip(parts, coef)}
-    with _EXPANSION_LOCK:
-        _EXPANSION_CACHE[p] = dict(coeffs)
-    return coeffs
+        if cached is None:
+            table = zonal_table(p * (p - 1) // 2)
+            target = _pair_product_monomials(p)
+            exact: dict[tuple[int, ...], Fraction] = {}
+            for lam in (lam for lam in table.order if len(lam) <= p):
+                t = Fraction(target[lam + (0,) * (p - len(lam))])
+                for kappa, a in exact.items():
+                    t -= a * table.coeffs[kappa].get(lam, 0)
+                exact[lam] = t / table.coeffs[lam][lam]
+            cached = {kappa: float(a) for kappa, a in exact.items()}
+            _EXPANSION_CACHE[p] = cached
+        return dict(cached)

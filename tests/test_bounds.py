@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from math import exp, sqrt
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import wishartgpi
 from wishartgpi.bounds import (
     bound_integral_beta_1d,
     integral_quadrature_1d,
@@ -149,3 +153,13 @@ def test_jacobian_matches_lyapunov_determinant(p):
         assert a == pytest.approx(b, rel=1e-8)
     with pytest.raises(NotPositiveDefinite):
         matrix_square_jacobian(np.diag([-1.0] * p))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy costs more than the rest of the import; only the quadrature
+    # oracle uses it, and it loads it when called.
+    src = os.path.dirname(os.path.dirname(wishartgpi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, wishartgpi, wishartgpi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -504,6 +504,7 @@ def kind_raw(ineq, **over):
         "seed": 3,
     }
     raw.update({
+        "conj11": {"exponents": {"values": [1.0, 1.0], "signs": [1, 1]}},
         "conj36": {},
         "lt_order": {"t_blocks": [[[0.5]], [[0.5]]]},
         "bernstein": {"bernstein": {"f": {"atoms": [[1.0, [[0.7]]]]}, "g": {"atoms": [[1.0, [[0.3]]]]}}},
@@ -567,6 +568,9 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
         kind_raw("lt_order", t_blocks=[["x"], [[0.5]]]),
         kind_raw("bernstein", bernstein={"f": {"atoms": [[1.0]]}, "g": {"atoms": []}}),
         kind_raw("bernstein", bernstein={"f": {"trace_offset": "x"}, "g": {"atoms": []}}),
+        kind_raw("conj11", exponents={"values": [float("nan"), 1.0], "signs": [1, 1]}),
+        kind_raw("elliptical", elliptical={"alphas": [True, 1.0], "radial": {"kind": "chisq"}}),
+        kind_raw("conj36", thresholds=[True, 1]),
     ],
 )
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):

@@ -192,6 +192,9 @@ def test_exponent_vector_validation_and_from_signed():
         ExponentVector((1.0,), (2,))
     with pytest.raises(ValueError):
         ExponentVector((1.0, 1.0), (1,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentVector((bad, 1.0), (1, 1))
     e = ExponentVector.from_signed([0.5, -1.25, 0.0])
     assert e.values == (0.5, 1.25, 0.0)
     assert e.signs == (1, -1, 1)

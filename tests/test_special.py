@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import exp, lgamma
+from itertools import permutations
+from math import exp, lgamma, prod
 
 import numpy as np
 import pytest
@@ -174,8 +175,6 @@ def test_zonal_laplace_beltrami_eigenfunction():
                 lam_p = tuple(lam) + (0,) * (p - len(lam))
                 mono = sympy.Integer(0)
                 seen = set()
-                from itertools import permutations
-
                 for perm in set(permutations(lam_p)):
                     if perm in seen:
                         continue
@@ -226,3 +225,89 @@ def test_expansion_reconstructs_pair_product(p):
 def test_expansion_cap():
     with pytest.raises(CapExceeded):
         zonal_expansion_coefficients(6)
+
+
+# ------------------------------------------------------------- exactness
+
+
+def _pair_product(x):
+    x = np.asarray(x, dtype=float)
+    iu, ju = np.triu_indices(len(x), k=1)
+    return float(np.prod(x[iu] + x[ju]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "spectrum", [(0.01, 0.1, 1.0, 10.0, 100.0), (1e-3, 2e-3, 5e-3, 1.0, 3.0)]
+)
+def test_expansion_is_exact_on_wide_spectra(p, spectrum):
+    # Far outside any fitting range: spread over four decades, and three
+    # tiny eigenvalues next to two of order one.
+    x = np.array(spectrum[-p:])
+    got = sum(a * zonal_polynomial(kappa, x) for kappa, a in zonal_expansion_coefficients(p).items())
+    assert got == pytest.approx(_pair_product(x), rel=1e-12)
+
+
+P5_EXPANSION = {
+    (4, 3, 2, 1): Fraction(55, 145152),
+    (4, 3, 1, 1, 1): Fraction(1, 5120),
+    (4, 2, 2, 2): Fraction(11, 35840),
+    (4, 2, 2, 1, 1): Fraction(1, 4200),
+    (3, 3, 3, 1): Fraction(1, 2560),
+    (3, 3, 2, 2): Fraction(1, 2240),
+    (3, 3, 2, 1, 1): Fraction(5, 14336),
+    (3, 2, 2, 2, 1): Fraction(61, 215040),
+    (2, 2, 2, 2, 2): Fraction(1, 3072),
+}
+
+
+def _monomial_fractions(x, k):
+    """m_lam at a rational spectrum x, exactly, for every partition of k with <= len(x) parts."""
+    p = len(x)
+    out = {}
+    for lam in partitions_of(k, max_parts=p):
+        total = Fraction(0)
+        for e in set(permutations(lam + (0,) * (p - len(lam)))):
+            term = Fraction(1)
+            for xi, ei in zip(x, e):
+                term *= xi**ei
+            total += term
+        out[lam] = total
+    return out
+
+
+def _zonal_fraction(kappa, mono):
+    return sum(c * mono[lam] for lam, c in zonal_table(sum(kappa)).coeffs[kappa].items() if lam in mono)
+
+
+def test_p5_expansion_coefficients_are_exact_rationals():
+    coeffs = zonal_expansion_coefficients(5)
+    assert set(coeffs) == set(partitions_of(10, max_parts=5))
+    assert coeffs[(2, 2, 2, 2, 2)] == 1 / 3072
+    assert coeffs[(5, 5)] == 0.0 and coeffs[(10,)] == 0.0
+    for kappa, a in coeffs.items():
+        assert a == float(P5_EXPANSION.get(kappa, 0))
+    # The frozen rationals reproduce the pair product exactly, in rational
+    # arithmetic, at spectra that pin down all 30 coefficients.
+    for x in [(1, 2, 3, 5, 7), (Fraction(1, 2), Fraction(2, 3), 3, Fraction(7, 5), 11), (1, 1, 2, 2, 9)]:
+        x = tuple(Fraction(v) for v in x)
+        mono = _monomial_fractions(x, 10)
+        series = sum(a * _zonal_fraction(kappa, mono) for kappa, a in P5_EXPANSION.items())
+        assert series == prod(x[i] + x[j] for i in range(5) for j in range(i + 1, 5))
+
+
+def test_zonal_polynomial_matches_exact_table_rows():
+    spectra = [
+        tuple(Fraction(n, d) for n, d in [(1, 3), (5, 7), (2, 1), (9, 4), (1, 10)]),
+        tuple(Fraction(n, d) for n, d in [(3, 2), (1, 8), (7, 3), (1, 1), (6, 5)]),
+    ]
+    batch = np.array([[float(v) for v in x] for x in spectra])
+    for k in range(11):
+        monos = [_monomial_fractions(x, k) for x in spectra]
+        for kappa in partitions_of(k, max_parts=5):
+            want = [float(_zonal_fraction(kappa, mono)) for mono in monos]
+            got = zonal_polynomial(kappa, batch)
+            assert got.shape == (2,)
+            for i in range(2):
+                assert zonal_polynomial(kappa, batch[i]) == pytest.approx(want[i], rel=1e-12)
+                assert got[i] == pytest.approx(want[i], rel=1e-12)
