@@ -51,16 +51,16 @@ def main() -> int:
     sigma = random_correlation(4, RngStream(99))
     model = WishartModel(10.0, sigma, spec)
     exps = ExponentVector((0.7, 0.7), (-1, -1))
-    out = gpi_sandwich(model, exps, k=2, n=200_000, rng=RngStream(7), bounds=("lower", "upper"))
+    out = gpi_sandwich(model, exps, splits=(2,), n=200_000, rng=RngStream(7), bounds=("lower", "upper"))
 
-    for side, v in out.items():
-        print(f"\n{side} bound: {v.verdict} (z={v.z:.2f}, status={v.status})")
+    for (k, side), v in out.items():
+        print(f"\n{side} bound at k={k}: {v.verdict} (z={v.z:.2f}, status={v.status})")
         print(f"  lhs={v.lhs:.6g} +- {v.lhs_se:.2g}")
         print(f"  rhs={v.rhs:.6g} +- {v.rhs_se:.2g}")
         print(f"  margin={v.margin:+.4g}")
 
-    lo = out["lower"]
-    hi = out["upper"]
+    lo = out[2, "lower"]
+    hi = out[2, "upper"]
     print(
         f"\nsplit product sits {math.log(lo.lhs / lo.rhs):.3f} nats below the moment;"
         f" the integral bound is conservative ({math.log(hi.rhs / hi.lhs):.1f} nats of slack here)"

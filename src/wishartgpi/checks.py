@@ -4,16 +4,23 @@ Each check estimates (or computes exactly) the two sides of one
 inequality and classifies the comparison as Holds / Violated /
 Inconclusive through the z-score of their difference. A split statement
 E[L R] >= E[L] E[R] draws L and R once, from one sample, and takes the
-stderr of its margin from their joint co-moments. A Violated verdict on
-a statement that is only conjectured is automatically re-run at 10x the
-sample size on fresh streams before being reported, to suppress Monte
-Carlo false positives.
+stderr of its margin from their joint co-moments. A check that takes a
+sequence of splits runs one estimator for all of them: every split's
+groups are columns of that one sample, so each split reads its verdict
+off the same draws. A check draws its estimators from the streams of one
+StreamPlan in call order (a calibration pilot, then the shared
+estimator, then any rerun), so one scale matrix uses one plan whatever
+the number of splits. A Violated verdict on a statement that is only
+conjectured is automatically re-run at 10x the sample size on fresh
+streams before being reported, to suppress Monte Carlo false positives;
+the rerun estimates every split again, and only the candidate splits'
+verdicts are replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import exp, gamma, hypot, inf, lgamma, log, prod, sqrt
+from math import exp, gamma, hypot, inf, lgamma, log, prod
 
 import numpy as np
 
@@ -33,7 +40,6 @@ from .montecarlo import (
     JointEstimate,
     MCEstimate,
     PowerProducts,
-    StreamPlan,
     as_plan,
     finiteness_classify,
     mc_mean,
@@ -43,7 +49,7 @@ from .montecarlo import (
 )
 from .special import log_mvgamma
 from .wishart import WishartModel, _sample_batch, factor_eigvals, factor_gram, factor_logdet
-from .wishart import laplace_transform, log_minor_moment
+from .wishart import laplace_transform, log_minor_moment, sphere_batch
 
 __all__ = [
     "STATEMENTS",
@@ -188,16 +194,22 @@ def verdict_from(
     )
 
 
-def _rerun_candidate(build, n: int, status: str) -> InequalityVerdict:
-    # Violated on a non-proved statement is re-checked at 10x n on fresh
-    # streams before being reported.
-    v = build(int(n))
-    if v.verdict == "Violated" and status != "proved":
-        confirm = build(10 * int(n))
-        detail = dict(confirm.detail)
-        detail["candidate_rerun"] = {"first_n": int(n), "first_z": v.z}
-        return replace(confirm, detail=detail)
-    return v
+def _rerun_candidate(build, n: int, status: str) -> dict:
+    # build(n) returns verdicts by key from one shared estimator. Violated
+    # on a non-proved statement is re-checked by one rerun of that
+    # estimator at 10x n on fresh streams; only the candidates' verdicts
+    # are replaced.
+    first = build(int(n))
+    candidates = [key for key, v in first.items() if v.verdict == "Violated"]
+    if not candidates or status == "proved":
+        return first
+    confirm = build(10 * int(n))
+    out = dict(first)
+    for key in candidates:
+        v = confirm[key]
+        rerun = {"first_n": int(n), "first_z": first[key].z}
+        out[key] = replace(v, detail={**v.detail, "candidate_rerun": rerun})
+    return out
 
 
 def _split_sides(est: JointEstimate, joint, left, right, scale: float = 1.0):
@@ -215,12 +227,37 @@ def _split_sides(est: JointEstimate, joint, left, right, scale: float = 1.0):
     return lhs, rhs, est.stderr(est.unit(joint) - g_rhs)
 
 
+def _split_list(splits, top: int) -> list[int]:
+    # The distinct splits of a check, in order; each must lie in 2..top.
+    ks = list(dict.fromkeys(int(k) for k in splits))
+    if not ks:
+        raise ValueError("need at least one split")
+    for k in ks:
+        if not 2 <= k <= top:
+            raise ValueError(f"split k must be in 2..{top}, got {k}")
+    return ks
+
+
 def _split_groups(d: int, k: int) -> tuple[range, range]:
     # Split convention: k in {2, ..., d}; first group is blocks 1..k-1,
     # second is k..d (1-based), i.e. 0-based index ranges below.
     if not 2 <= k <= d:
         raise ValueError(f"split k must be in 2..{d}, got {k}")
     return range(k - 1), range(k - 1, d)
+
+
+def _joint_and_split_groups(d: int, ks) -> list[range]:
+    # All d indices, then the two groups of each split in turn.
+    groups = [range(d)]
+    for k in ks:
+        groups += _split_groups(d, k)
+    return groups
+
+
+def _split_triples(index, count: int) -> list[tuple]:
+    # (joint, left, right) columns of each split, from the column index of
+    # the groups laid out by _joint_and_split_groups.
+    return [(index[0], index[1 + 2 * j], index[2 + 2 * j]) for j in range(count)]
 
 
 def split_model(model: WishartModel, k: int) -> WishartModel:
@@ -266,48 +303,40 @@ def lt_order_gap(model: WishartModel, k: int, t_blocks) -> float:
 def gpi_sandwich(
     model: WishartModel,
     exps: ExponentVector,
-    k: int,
+    splits,
     n: int,
     rng,
     workers: int = 1,
     z_threshold: float = 3.0,
     bounds: tuple[str, ...] = ("lower", "upper"),
     override_finiteness: bool = False,
-) -> dict[str, InequalityVerdict]:
+) -> dict[tuple[int, str], InequalityVerdict]:
     """Two-sided check on the joint inverse-minor moment E prod |X_ii|^(-nu_i).
 
-    Lower: the joint moment dominates the product of the two split-group
-    moments at k in {2, ..., d}; all three come from one sample, and the
-    margin's stderr from their joint co-moments. Upper: the joint moment
-    (the same estimate) is at most
+    Lower: at each split k in `splits` (each in {2, ..., d}) the joint
+    moment dominates the product of the two split-group moments. The
+    joint moment and every split's group moments are columns of one
+    sample, and each margin's stderr comes from their joint co-moments.
+    Upper: the joint moment (the same estimate) is at most
     prod_i 2^(p_i alpha/2) / Gamma_{p_i}(nu_i) * I(M_ii), with M the
     block Cholesky factor of the scale matrix and I the closed-form
-    bound integral. The upper bound does not depend on k.
+    bound integral. The upper bound does not depend on k: it is computed
+    once and reported at every split.
 
-    Raises UpperBoundUnavailable when some nu_i falls outside its
-    integral convergence window, and InfiniteMoment when a moment is not
-    guaranteed finite unless `override_finiteness` allows Unknown.
+    Returns verdicts keyed by (split, side), splits in order and the
+    lower side first. Raises UpperBoundUnavailable when some nu_i falls
+    outside its integral convergence window, and InfiniteMoment when a
+    moment is not guaranteed finite unless `override_finiteness` allows
+    Unknown.
     """
     if any(s != -1 for s in exps.signs):
         raise ValueError("the sandwich applies to all-inverted exponents (every sign -1)")
-    left_ix, right_ix = _split_groups(model.d, k)
-    groups = [range(model.d)] + ([left_ix, right_ix] if "lower" in bounds else [])
+    ks = _split_list(splits, model.d)
+    lower = "lower" in bounds
+    groups = _joint_and_split_groups(model.d, ks if lower else ())
     draw, cols = product_columns(model, exps, groups, override_finiteness)
     est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
-    full = est.column(cols.index[0])
-    out: dict[str, InequalityVerdict] = {}
-    if "lower" in bounds:
-        lhs, rhs, se = _split_sides(est, *cols.index)
-        out["lower"] = verdict_from(
-            lhs,
-            rhs,
-            ">=",
-            z_threshold,
-            statement=STATEMENTS["sandwich"],
-            status="proved",
-            detail={"side": "lower", "split": k},
-            margin_se=se,
-        )
+    upper = None
     if "upper" in bounds:
         M = block_cholesky(model.sigma, model.spec)
         log_bound = 0.0
@@ -327,22 +356,38 @@ def gpi_sandwich(
                     f"block {i} (size {p_i}): nu={nu_i} unusable for the integral bound: {err}"
                 ) from None
             rules.append(integral_window(p_i, model.alpha)[2])
-        out["upper"] = verdict_from(
-            full,
+        upper = verdict_from(
+            est.column(cols.index[0]),
             exp(log_bound),
             "<=",
             z_threshold,
             statement=STATEMENTS["sandwich"],
             status="proved",
-            detail={"side": "upper", "window_rules": rules},
+            detail={"side": "upper", "window_rules": rules, "shared_splits": ks},
         )
+    out: dict[tuple[int, str], InequalityVerdict] = {}
+    triples = _split_triples(cols.index, len(ks) if lower else 0)
+    for j, k in enumerate(ks):
+        if lower:
+            lhs, rhs, se = _split_sides(est, *triples[j])
+            out[k, "lower"] = verdict_from(
+                lhs,
+                rhs,
+                ">=",
+                z_threshold,
+                statement=STATEMENTS["sandwich"],
+                status="proved",
+                detail={"side": "lower", "split": k, "shared_splits": ks},
+                margin_se=se,
+            )
+        if upper is not None:
+            out[k, "upper"] = upper
     return out
 
 
 def product_moment_conjecture_check(
     model: WishartModel,
     exps: ExponentVector,
-    k: int,
     n: int,
     rng,
     workers: int = 1,
@@ -353,46 +398,47 @@ def product_moment_conjecture_check(
     The right side is the fully split product, available in closed form:
     iterating the two-group split at every k refines down to it, so it
     is the strongest decoupled bound and makes the comparison one-sided
-    Monte Carlo. The split index is validated and recorded for report
-    grouping but does not change the right side. Proved for d <= 2,
-    otherwise an open conjecture (Violated candidates re-run at 10x n).
+    Monte Carlo. Neither side depends on a split point, so one verdict
+    serves every split. Proved for d <= 2, otherwise an open conjecture
+    (Violated candidates re-run at 10x n).
     """
     if any(s != 1 for s in exps.signs):
         raise ValueError("the product-moment conjecture takes nonnegative powers (all signs +1)")
-    _split_groups(model.d, k)
+    if model.d < 2:
+        raise ValueError("need at least two blocks")
     status = proved_status("conj11", model.d, model.spec.sizes)
     rhs = exp(sum(log_minor_moment(model, i, v) for i, v in enumerate(exps.values)))
     plan = as_plan(rng)
 
     def build(n_eff):
         lhs = mc_product_moment(model, exps, n_eff, plan.allocate(), workers=workers)
-        return verdict_from(
+        return {None: verdict_from(
             lhs, rhs, ">=", z_threshold, statement=STATEMENTS["conj11"], status=status,
-            detail={"split": k},
-        )
+        )}
 
-    return _rerun_candidate(build, n, status)
+    return _rerun_candidate(build, n, status)[None]
 
 
 def tail_probability_conjecture_check(
     model: WishartModel,
     thresholds,
-    k: int,
+    splits,
     n: int,
     rng,
     workers: int = 1,
     z_threshold: float = 3.0,
-) -> InequalityVerdict:
+) -> dict[int, InequalityVerdict]:
     """P(all minors below thresholds) >= split product of group probabilities.
 
     With ``thresholds=None`` each threshold is calibrated to marginal
-    probability 1/2 from a pilot run of n/10 draws (per-block medians of
-    the minor determinants; a 500-draw floor keeps tiny-n medians
-    usable). The three probabilities are indicator columns of one sample.
-    Proved when every block is scalar, otherwise open. Raises
+    probability 1/2 from one pilot run of n/10 draws (per-block medians
+    of the minor determinants; a 500-draw floor keeps tiny-n medians
+    usable). The joint event and both groups of every split in `splits`
+    are indicator columns of one sample. Returns verdicts keyed by
+    split. Proved when every block is scalar, otherwise open. Raises
     DegenerateEvent when an estimated probability hits 0 or 1.
     """
-    left_ix, right_ix = _split_groups(model.d, k)
+    ks = _split_list(splits, model.d)
     status = proved_status("conj36", model.d, model.spec.sizes)
     plan = as_plan(rng)
     slices = [model.spec.range(i) for i in range(model.d)]
@@ -408,32 +454,35 @@ def tail_probability_conjecture_check(
             raise ValueError("thresholds must be positive")
 
     log_t = [log(t) for t in thresholds]
+    # no two of these groups coincide, so each is its own column
+    groups = _joint_and_split_groups(model.d, ks)
 
     def draw(gen, m):
         A = _sample_batch(model, gen, m)
         below = [factor_logdet(A, sl) <= lt for sl, lt in zip(slices, log_t)]
-        return np.column_stack(
-            [np.all([below[i] for i in g], axis=0) for g in (range(model.d), left_ix, right_ix)]
-        )
+        return np.column_stack([np.all([below[i] for i in g], axis=0) for g in groups])
 
     def build(n_eff):
         try:
-            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=3)
+            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=len(groups))
         except DegenerateVariance:
             raise DegenerateEvent(
                 "event probability estimated at 0 or 1; thresholds degenerate"
             ) from None
-        lhs, rhs, se = _split_sides(est, 0, 1, 2)
-        return verdict_from(
-            lhs,
-            rhs,
-            ">=",
-            z_threshold,
-            statement=STATEMENTS["conj36"],
-            status=status,
-            detail={"thresholds": thresholds, "split": k},
-            margin_se=se,
-        )
+        out = {}
+        for k, triple in zip(ks, _split_triples(range(len(groups)), len(ks))):
+            lhs, rhs, se = _split_sides(est, *triple)
+            out[k] = verdict_from(
+                lhs,
+                rhs,
+                ">=",
+                z_threshold,
+                statement=STATEMENTS["conj36"],
+                status=status,
+                detail={"thresholds": thresholds, "split": k, "shared_splits": ks},
+                margin_se=se,
+            )
+        return out
 
     return _rerun_candidate(build, n, status)
 
@@ -441,70 +490,77 @@ def tail_probability_conjecture_check(
 def eigen_gpi_check(
     model: WishartModel,
     nus,
-    k: int,
+    splits,
     n: int,
     rng,
     workers: int = 1,
     z_threshold: float = 3.0,
     fns=None,
-) -> InequalityVerdict:
+) -> dict[int, InequalityVerdict]:
     """E prod L_i^{nu_i} >= split product over the ordered eigenvalues L_1 >= ... >= L_p.
 
-    All three expectations are Monte Carlo (ordered eigenvalues admit no
+    All expectations are Monte Carlo (ordered eigenvalues admit no
     product closed form), taken from one set of ordered eigenvalues per
-    draw (closed form up to 3 x 3, see `factor_eigvals`); the
-    split at k in {2, ..., p} separates eigenvalue positions 1..k-1 from
-    k..p (1-based). A group whose powers are all zero is the exact
-    constant 1. Passing ``fns=(g, h)`` checks the general
-    increasing-functional form E g(L_left) h(L_right) >= E g * E h
-    instead: each callable maps an (m, group size) array of ordered
-    eigenvalues to m nonnegative values, and `nus` is ignored.
+    draw (closed form up to 3 x 3, see `factor_eigvals`). The split at
+    k in {2, ..., p} separates eigenvalue positions 1..k-1 from k..p
+    (1-based); every split in `splits` reads its three expectations off
+    the same sample, and the result holds one verdict per split. A group
+    whose powers are all zero is the exact constant 1. Passing
+    ``fns=(g, h)`` checks the general increasing-functional form
+    E g(L_left) h(L_right) >= E g * E h instead: each callable maps an
+    (m, group size) array of ordered eigenvalues to m nonnegative
+    values, and `nus` is ignored.
     """
     p = model.p
-    if not 2 <= k <= p:
-        raise ValueError(f"split k must be in 2..{p}, got {k}")
-    cut = k - 1
+    ks = _split_list(splits, p)
 
     if fns is not None:
         g, h = fns
-        index, k_cols = (0, 1, 2), 3
+        # three columns per split: g h, g, h
+        index, k_cols = [(3 * j, 3 * j + 1, 3 * j + 2) for j in range(len(ks))], 3 * len(ks)
 
         def draw(gen, m):
             lam = factor_eigvals(_sample_batch(model, gen, m))
-            gv = np.asarray(g(lam[:, :cut]), dtype=float)
-            hv = np.asarray(h(lam[:, cut:]), dtype=float)
-            for vals in (gv, hv):
-                if vals.shape != (m,) or np.any(vals < 0):
-                    raise ValueError("eigenvalue functionals must map to m nonnegative values")
-            return np.column_stack((gv * hv, gv, hv))
+            out = []
+            for k in ks:
+                gv = np.asarray(g(lam[:, : k - 1]), dtype=float)
+                hv = np.asarray(h(lam[:, k - 1 :]), dtype=float)
+                for vals in (gv, hv):
+                    if vals.shape != (m,) or np.any(vals < 0):
+                        raise ValueError("eigenvalue functionals must map to m nonnegative values")
+                out += [gv * hv, gv, hv]
+            return np.column_stack(out)
 
-        detail = {"split": k, "variant": "increasing-functional"}
+        variant = "increasing-functional"
     else:
         nus = tuple(float(v) for v in nus)
         if len(nus) != p:
             raise ValueError(f"need one exponent per eigenvalue ({p}), got {len(nus)}")
         if any(v < 0 for v in nus):
             raise ValueError(f"eigenvalue exponents must be >= 0, got {nus}")
-        cols = PowerProducts(nus, [range(p), range(cut), range(cut, p)])
-        index, k_cols = cols.index, cols.k
+        cols = PowerProducts(nus, _joint_and_split_groups(p, ks))
+        index, k_cols = _split_triples(cols.index, len(ks)), cols.k
 
         def draw(gen, m):
             lam = factor_eigvals(_sample_batch(model, gen, m))
             return cols.columns({i: np.log(lam[:, i]) for i in cols.used}, m)
 
-        detail = {"split": k, "variant": "power"}
+        variant = "power"
     est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=k_cols)
-    lhs, rhs, se = _split_sides(est, *index)
-    return verdict_from(
-        lhs,
-        rhs,
-        ">=",
-        z_threshold,
-        statement=STATEMENTS["eigen"],
-        status="proved",
-        detail=detail,
-        margin_se=se,
-    )
+    out = {}
+    for k, cols_k in zip(ks, index):
+        lhs, rhs, se = _split_sides(est, *cols_k)
+        out[k] = verdict_from(
+            lhs,
+            rhs,
+            ">=",
+            z_threshold,
+            statement=STATEMENTS["eigen"],
+            status="proved",
+            detail={"split": k, "variant": variant, "shared_splits": ks},
+            margin_se=se,
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -655,11 +711,11 @@ def opposite_gpi_lower(
             model, exps, n_eff, plan.allocate(), workers=workers,
             override_finiteness=override_finiteness,
         )
-        return verdict_from(
+        return {None: verdict_from(
             lhs, rhs, ">=", z_threshold, statement=STATEMENTS["opp_lower"], status=status
-        )
+        )}
 
-    return _rerun_candidate(build, n, status)
+    return _rerun_candidate(build, n, status)[None]
 
 
 def opposite_gpi_upper(
@@ -737,41 +793,17 @@ class RadialSpec:
         return RadialSpec("lognormal", mu=self.mu + log(factor), sigma=self.sigma)
 
 
-def _radial_moment(
-    rspec: RadialSpec, a: float, d: int, n: int, plan: StreamPlan, workers: int
-) -> MCEstimate:
-    if a == 0.0:
-        return MCEstimate.exact(1.0)
-    if rspec.kind == "chisq":
-        dof = float(d if rspec.dof is None else rspec.dof)
-        return MCEstimate.exact(exp(a * _LOG_2 + lgamma(dof / 2.0 + a) - lgamma(dof / 2.0)))
-    if rspec.kind == "point":
-        return MCEstimate.exact(rspec.value**a)
-    maxima: list[float] = []
-
-    def draw(gen, m):
-        v = np.exp(a * (rspec.mu + rspec.sigma * gen.standard_normal(m)))
-        maxima.append(float(v.max()))
-        return v
-
-    est = mc_mean(draw, n, plan.allocate(), workers)
-    # Heavy-tail diagnostic: one draw carrying most of the sum means the
-    # empirical moment cannot be trusted.
-    if max(maxima) > 0.5 * est.mean * est.n:
-        raise InfiniteMoment(
-            f"empirical moment of R^{a} dominated by a single draw; treat as divergent"
-        )
-    return est
-
-
 def radial_moment_ratio(
     rspec: RadialSpec, alphas, d: int, n: int = 0, rng=None, workers: int = 1
 ) -> MCEstimate:
     """Q_R = prod_i E(R^{alpha_i}) / E(R^{alpha}), exact when the law allows.
 
     Chi-square and point-mass radials give exact values (point mass gives
-    exactly 1); lognormal moments are Monte Carlo with a heavy-tail
-    guard. Always satisfies Q_R <= 1 up to stderr.
+    exactly 1). Lognormal moments are Monte Carlo: every distinct power
+    is a column of one sample, read off one normal draw per point, and
+    the stderr is the delta method on log Q_R over their co-moments. A
+    column where a single draw carries most of the sum is refused as
+    divergent. Always satisfies Q_R <= 1 up to stderr.
     """
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
@@ -784,14 +816,33 @@ def radial_moment_ratio(
         # denominator, leaving the pure gamma ratio
         dof = rspec.dof if rspec.dof is not None else float(d)
         return MCEstimate.exact(_gamma_moment_ratio(dof / 2.0, alphas))
-    plan = as_plan(rng)
-    parts = [_radial_moment(rspec, a, d, n, plan, workers) for a in alphas]
-    whole = _radial_moment(rspec, total, d, n, plan, workers)
-    mean = exp(sum(log(p.mean) for p in parts) - log(whole.mean))
-    rel = sqrt(
-        sum((p.stderr / p.mean) ** 2 for p in parts) + (whole.stderr / whole.mean) ** 2
-    )
-    return MCEstimate(mean, mean * rel, whole.n)
+    powers = list(dict.fromkeys(a for a in alphas + (total,) if a != 0.0))
+    if not powers:
+        return MCEstimate.exact(1.0)
+    maxima: list[np.ndarray] = []
+
+    def draw(gen, m):
+        v = np.exp(np.multiply.outer(rspec.mu + rspec.sigma * gen.standard_normal(m), powers))
+        maxima.append(v.max(axis=0))
+        return v
+
+    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=len(powers))
+    # Heavy-tail diagnostic: one draw carrying most of the sum means the
+    # empirical moment cannot be trusted.
+    top = np.max(maxima, axis=0)
+    for j, a in enumerate(powers):
+        if top[j] > 0.5 * est.mean[j] * est.n:
+            raise InfiniteMoment(
+                f"empirical moment of R^{a} dominated by a single draw; treat as divergent"
+            )
+    # log Q_R = sum_j c_j log E R^{powers[j]}, gradient c_j / E R^{powers[j]}
+    c = np.zeros(len(powers))
+    for a in alphas:
+        if a != 0.0:
+            c[powers.index(a)] += 1.0
+    c[powers.index(total)] -= 1.0
+    q = exp(float(c @ np.log(est.mean)))
+    return MCEstimate(q, q * est.stderr(c / est.mean), est.n)
 
 
 def _gamma_moment_ratio(h: float, alphas) -> float:
@@ -857,8 +908,7 @@ def elliptical_gpi_check(
     num, dens = cols.index[0], cols.index[1:]
 
     def draw(gen, m):
-        Z = gen.standard_normal((m, d))
-        X = (Z / np.linalg.norm(Z, axis=1, keepdims=True)) @ A.T
+        X = sphere_batch(gen, m, d) @ A.T
         return cols.columns({i: np.log(np.abs(X[:, i])) for i in cols.used}, m)
 
     def build(n_eff):
@@ -875,7 +925,7 @@ def elliptical_gpi_check(
         q = radial_moment_ratio(rspec, alphas, d, n_eff, plan, workers)
         if not q.mean <= 1.0 + 3.0 * q.stderr:
             raise ArithmeticError(f"Q_R = {q.mean} exceeds 1 beyond noise; radial spec broken")
-        return verdict_from(
+        return {None: verdict_from(
             lhs,
             q,
             ">=",
@@ -883,6 +933,6 @@ def elliptical_gpi_check(
             statement=STATEMENTS["elliptical"],
             status=status,
             detail={"q_r": q.mean, "lhs_over_q": lhs.mean / q.mean},
-        )
+        )}
 
-    return _rerun_candidate(build, n, status)
+    return _rerun_candidate(build, n, status)[None]

@@ -2,9 +2,10 @@
 
 A single JSON config describes one inequality sweep: the model shape,
 where the scale matrices come from, the exponents or thresholds, sample
-counts and seeding. ``run`` executes one verdict per (scale-matrix
-instance x split) and writes a fixed-column CSV plus a JSON report that
-embeds every random matrix, making each row standalone-reproducible.
+counts and seeding. ``run`` reports one verdict per (scale-matrix
+instance x split), all splits of an instance read off one shared sample,
+and writes a fixed-column CSV plus a JSON report that embeds every
+random matrix, making each row standalone-reproducible.
 What the harness knows about each inequality kind, from its config
 fields to its exponents column, is one entry of ``KINDS``.
 """
@@ -17,7 +18,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from math import inf
 from typing import Callable
 
@@ -67,8 +68,8 @@ SCHEMA_VERSION = 1
 # output path; all other behavior comes from the config itself.
 OUTPUT_DIR_ENV = "WISHARTGPI_OUTPUT_DIR"
 
-# Reserved stream namespace for drawing random scale matrices; row
-# plans sit at row_index * ROLE_STRIDE, far below this.
+# Reserved stream namespace for drawing random scale matrices; the plan of
+# scale instance i sits at i * ROLE_STRIDE, far below this.
 _SIGMA_STREAM_BASE = 1 << 40
 
 CSV_COLUMNS = (
@@ -174,12 +175,14 @@ class Kind:
     ``parse(raw, spec, alpha, override)`` validates the kind's fields and
     returns ``(params, fields)``: the typed parameters ``run`` reads from
     ``config.params`` and the config fields echoed to JSON.
-    ``run(c, s, k, o, n=, rng=, workers=, z_threshold=)`` runs the row of
-    config c at scale matrix s, split k and finiteness override o, and
-    returns its verdicts by experiment-id suffix; it calls the checks
-    through this module's globals, where a tracer may replace them.
-    ``top(spec)`` is the highest split (None: one row per scale matrix)
-    and ``column(params)`` the CSV exponents cell.
+    ``run(c, s, splits, o, n=, rng=, workers=, z_threshold=)`` runs
+    config c at scale matrix s for every split in `splits` (``[None]``
+    for a kind without one) under finiteness override o, all splits from
+    one shared estimator, and returns the verdicts keyed by (split,
+    experiment-id suffix) in row order; it calls the checks through this
+    module's globals, where a tracer may replace them. ``top(spec)`` is
+    the highest split (None: one row per scale matrix) and
+    ``column(params)`` the CSV exponents cell.
     """
 
     parse: Callable
@@ -223,6 +226,18 @@ def _signed_column(exps: ExponentVector) -> str:
 
 def _model(config: ExperimentConfig, sigma: np.ndarray) -> WishartModel:
     return WishartModel(config.alpha, sigma, BlockSpec(config.block_sizes))
+
+
+def _by_split(verdicts: dict) -> dict:
+    # A check's verdicts keyed by split, as rows without a suffix.
+    return {(k, ""): v for k, v in verdicts.items()}
+
+
+def _every_split(verdict, splits) -> dict:
+    # A verdict whose sides do not depend on the split, reported on every
+    # split row; each row records the splits that shared its sample.
+    shared = {"shared_splits": list(splits)}
+    return {(k, ""): replace(verdict, detail={**verdict.detail, "split": k, **shared}) for k in splits}
 
 
 _SIDES = {"lower": ("lower",), "upper": ("upper",), "both": ("lower", "upper")}
@@ -271,10 +286,10 @@ def _opposite(ineq: str, want: Callable[[int], tuple], pattern: str, check: Call
         _require_finite(exps, spec, alpha, override)
         return exps, fields
 
-    def run_row(c, s, k, o, **mc):
-        return {"": check()(_model(c, s), c.params.values, override_finiteness=o, **mc)}
+    def run_instance(c, s, splits, o, **mc):
+        return _every_split(check()(_model(c, s), c.params.values, override_finiteness=o, **mc), splits)
 
-    return Kind(parse, run_row, column=_signed_column)
+    return Kind(parse, run_instance, column=_signed_column)
 
 
 def _parse_bernstein(raw, spec, alpha, override):
@@ -328,34 +343,38 @@ def _parse_lt_order(raw, spec, alpha, override):
     return (t_blocks, direct_sum(*t_blocks)), {"t_blocks": [t.tolist() for t in t_blocks]}
 
 
-def _run_lt_order(config, sigma, split, override, **mc):
+def _run_lt_order(config, sigma, splits, override, **mc):
+    # exact on both sides: each split computes its own gap
     t_blocks, T = config.params
     model = _model(config, sigma)
-    gap = lt_order_gap(model, split, t_blocks)
     lhs = laplace_transform(model, T)
-    return {"": verdict_from(
-        lhs, lhs - gap, ">=", config.z_threshold,
-        statement=STATEMENTS["lt_order"], status="proved",
-        detail={"gap": gap, "split": split},
-    )}
+    out = {}
+    for split in splits:
+        gap = lt_order_gap(model, split, t_blocks)
+        out[split, ""] = verdict_from(
+            lhs, lhs - gap, ">=", config.z_threshold,
+            statement=STATEMENTS["lt_order"], status="proved",
+            detail={"gap": gap, "split": split},
+        )
+    return out
 
 
 KINDS = {
     "sandwich": Kind(
         _parse_sandwich,
-        lambda c, s, k, o, **mc: gpi_sandwich(
-            _model(c, s), c.params, k, bounds=_SIDES[c.bound], override_finiteness=o, **mc
+        lambda c, s, ks, o, **mc: gpi_sandwich(
+            _model(c, s), c.params, ks, bounds=_SIDES[c.bound], override_finiteness=o, **mc
         ),
         column=_signed_column,
     ),
     "conj11": Kind(
         lambda raw, spec, alpha, o: _parse_exponents(raw, spec.d, "conj11", 1),
-        lambda c, s, k, o, **mc: {"": product_moment_conjecture_check(_model(c, s), c.params, k, **mc)},
+        lambda c, s, ks, o, **mc: _every_split(product_moment_conjecture_check(_model(c, s), c.params, **mc), ks),
         column=_signed_column,
     ),
     "conj36": Kind(
         _parse_conj36,
-        lambda c, s, k, o, **mc: {"": tail_probability_conjecture_check(_model(c, s), c.params, k, **mc)},
+        lambda c, s, ks, o, **mc: _by_split(tail_probability_conjecture_check(_model(c, s), c.params, ks, **mc)),
     ),
     "opp_lower": _opposite(
         "opp_lower", lambda d: (-1,) + (1,) * (d - 1), "(-1, +1, ..., +1)", lambda: opposite_gpi_lower
@@ -365,19 +384,19 @@ KINDS = {
     ),
     "bernstein": Kind(
         _parse_bernstein,
-        lambda c, s, k, o, **mc: {"": bernstein_pair_check(_model(c, s), *c.params, **mc)},
+        lambda c, s, ks, o, **mc: {(None, ""): bernstein_pair_check(_model(c, s), *c.params, **mc)},
         top=None,
     ),
     # eigen splits the ordered eigenvalues: one split point per coordinate
     "eigen": Kind(
         lambda raw, spec, alpha, o: _parse_exponents(raw, spec.total, "eigen", 1),
-        lambda c, s, k, o, **mc: {"": eigen_gpi_check(_model(c, s), c.params.values, k, **mc)},
+        lambda c, s, ks, o, **mc: _by_split(eigen_gpi_check(_model(c, s), c.params.values, ks, **mc)),
         top=lambda spec: spec.total,
         column=_signed_column,
     ),
     "elliptical": Kind(
         _parse_elliptical,
-        lambda c, s, k, o, **mc: {"": elliptical_gpi_check(np.linalg.cholesky(s), *c.params, **mc)},
+        lambda c, s, ks, o, **mc: {(None, ""): elliptical_gpi_check(np.linalg.cholesky(s), *c.params, **mc)},
         top=None,
         column=lambda params: "|".join(_fmt(a) for a in params[0]),
     ),
@@ -590,10 +609,13 @@ def run(
     """Execute one sweep: one row per (scale instance x split).
 
     The sandwich emits one row per configured bound side ('both' gives
-    two). Row r draws from streams (seed, r*ROLE_STRIDE + j), so outputs
-    are a function of (config, seed) only, independent of worker count.
-    Without `workers` or a config value, one worker runs every chunk:
-    chunk threads cost more than they save on numpy-bound chunks.
+    two). Each scale instance runs its kind once for all its splits:
+    instance i draws from streams (seed, i*ROLE_STRIDE + j), the j-th
+    estimator its check starts (a pilot, the shared estimator, a rerun),
+    so outputs are a function of (config, seed) only, independent of
+    worker count. Without `workers` or a config value, one worker runs
+    every chunk: chunk threads cost more than they save on numpy-bound
+    chunks.
     """
     spec = BlockSpec(config.block_sizes)
     kind = KINDS[config.inequality_id]
@@ -610,53 +632,52 @@ def run(
         splits = [config.split]
 
     rows: list[ReportRow] = []
-    row_index = 0
+    if not splits:
+        return rows
     for sigma_idx, sigma in _sigma_instances(config, spec):
         digest = sigma_digest(sigma)
         sigma_list = sigma.tolist()
-        for split in splits:
-            plan = StreamPlan(config.seed, base=row_index * ROLE_STRIDE)
-            row_index += 1
-            started = time.perf_counter()
-            verdicts = kind.run(
-                config, sigma, split, override,
-                n=config.n_samples, rng=plan, workers=eff_workers, z_threshold=config.z_threshold,
-            )
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            for suffix, verdict in verdicts.items():
-                tag = f"{config.inequality_id}-s{sigma_idx:02d}"
-                if split is not None:
-                    tag += f"-k{split}"
-                if suffix:
-                    tag += f"-{suffix}"
-                if verdict.statement != STATEMENTS[config.inequality_id]:
-                    raise RuntimeError(
-                        f"statement mismatch for {config.inequality_id}: {verdict.statement!r}"
-                    )
-                rows.append(
-                    ReportRow(
-                        experiment_id=tag,
-                        inequality_id=config.inequality_id,
-                        statement=verdict.statement,
-                        d=config.d,
-                        alpha=config.alpha,
-                        block_sizes=config.block_sizes,
-                        sigma_digest=digest,
-                        exponents=exponents,
-                        lhs=verdict.lhs,
-                        lhs_se=verdict.lhs_se,
-                        rhs=verdict.rhs,
-                        rhs_se=verdict.rhs_se,
-                        z=verdict.z,
-                        verdict=verdict.verdict,
-                        n=verdict.n,
-                        seed=config.seed,
-                        status=verdict.status,
-                        wall_time_ms=elapsed_ms,
-                        sigma=sigma_list,
-                        detail=_detail_scrub(verdict.detail),
-                    )
+        started = time.perf_counter()
+        verdicts = kind.run(
+            config, sigma, list(splits), override,
+            n=config.n_samples, rng=StreamPlan(config.seed, base=sigma_idx * ROLE_STRIDE),
+            workers=eff_workers, z_threshold=config.z_threshold,
+        )
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        for (split, suffix), verdict in verdicts.items():
+            tag = f"{config.inequality_id}-s{sigma_idx:02d}"
+            if split is not None:
+                tag += f"-k{split}"
+            if suffix:
+                tag += f"-{suffix}"
+            if verdict.statement != STATEMENTS[config.inequality_id]:
+                raise RuntimeError(
+                    f"statement mismatch for {config.inequality_id}: {verdict.statement!r}"
                 )
+            rows.append(
+                ReportRow(
+                    experiment_id=tag,
+                    inequality_id=config.inequality_id,
+                    statement=verdict.statement,
+                    d=config.d,
+                    alpha=config.alpha,
+                    block_sizes=config.block_sizes,
+                    sigma_digest=digest,
+                    exponents=exponents,
+                    lhs=verdict.lhs,
+                    lhs_se=verdict.lhs_se,
+                    rhs=verdict.rhs,
+                    rhs_se=verdict.rhs_se,
+                    z=verdict.z,
+                    verdict=verdict.verdict,
+                    n=verdict.n,
+                    seed=config.seed,
+                    status=verdict.status,
+                    wall_time_ms=elapsed_ms,
+                    sigma=sigma_list,
+                    detail=_detail_scrub(verdict.detail),
+                )
+            )
     return rows
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "log_det_moment",
     "random_correlation",
     "sample_sphere",
+    "sphere_batch",
 ]
 
 _LOG_2 = log(2.0)
@@ -361,12 +362,15 @@ def random_correlation(p: int, rng: RngStream, jitter: float = 1e-6) -> np.ndarr
     return (R + R.T) / 2.0
 
 
+def sphere_batch(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """m uniform draws on the unit sphere in R^d from `gen`, as an (m, d) array."""
+    Z = gen.standard_normal((m, d))
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True)
+
+
 def sample_sphere(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Uniform draws on the unit sphere in R^d; (d,) or (size, d)."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    gen = rng.generator()
-    m = 1 if size is None else int(size)
-    Z = gen.standard_normal((m, d))
-    U = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    U = sphere_batch(rng.generator(), 1 if size is None else int(size), d)
     return U[0] if size is None else U

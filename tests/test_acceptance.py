@@ -155,23 +155,24 @@ def test_criterion_04_joint_inverse_moment_lower_bound_sweep():
         for case in range(20):
             sigma = random_correlation(3, RngStream(5500 + case))
             model = WishartModel(5.0, sigma, BlockSpec((1, 1, 1)))
+            # both splits from one sample, on the stream the k = 2 check used alone
+            out = gpi_sandwich(
+                model, exps3, (2, 3), 200000, RngStream(104, 2 * case + 2),
+                bounds=("lower",),
+            )
             for k in (2, 3):
-                out = gpi_sandwich(
-                    model, exps3, k, 200000, RngStream(104, 2 * case + k),
-                    bounds=("lower",),
-                )
-                v = out["lower"]
+                v = out[k, "lower"]
                 assert v.verdict != "Violated", f"case {case} k={k}: z={v.z:.2f}"
         exps5 = ExponentVector((0.7, 0.4, 0.7), (-1, -1, -1))
         for case in range(10):
             sigma = random_correlation(5, RngStream(5600 + case))
             model = WishartModel(10.0, sigma, BlockSpec((2, 1, 2)))
+            out = gpi_sandwich(
+                model, exps5, (2, 3), 200000, RngStream(204, 2 * case + 2),
+                bounds=("lower",),
+            )
             for k in (2, 3):
-                out = gpi_sandwich(
-                    model, exps5, k, 200000, RngStream(204, 2 * case + k),
-                    bounds=("lower",),
-                )
-                v = out["lower"]
+                v = out[k, "lower"]
                 assert v.verdict != "Violated", f"block case {case} k={k}: z={v.z:.2f}"
 
 
@@ -182,9 +183,9 @@ def test_criterion_05_joint_inverse_moment_upper_bound():
             sigma = random_correlation(2, RngStream(5700 + case))
             model = WishartModel(6.0, sigma, BlockSpec((1, 1)))
             out = gpi_sandwich(
-                model, exps, 2, 100000, RngStream(105, case), bounds=("upper",)
+                model, exps, (2,), 100000, RngStream(105, case), bounds=("upper",)
             )
-            v = out["upper"]
+            v = out[2, "upper"]
             pooled = hypot(v.lhs_se, v.rhs_se)
             margin = v.rhs - v.lhs  # oriented for the <= direction
             assert margin >= -3 * pooled, f"case {case}: margin {margin:.4g}"
@@ -305,15 +306,17 @@ def test_criterion_09_eigenvalue_power_products():
             sigma = random_correlation(p, RngStream(6300 + case))
             model = WishartModel(alpha, sigma)
             nus = tuple(float(x) for x in param.uniform(0.0, 2.5, size=p))
-            for k in range(2, p + 1):
-                v = eigen_gpi_check(model, nus, k, 200000, RngStream(119, 4 * case + k))
+            # every split from one sample, on the stream the k = 2 check used alone
+            out = eigen_gpi_check(model, nus, range(2, p + 1), 200000, RngStream(119, 4 * case + 2))
+            assert list(out) == list(range(2, p + 1))
+            for k, v in out.items():
                 assert v.verdict != "Violated", f"case {case} k={k}: z={v.z:.2f}"
         # determinant identity: all powers one makes the joint side E|X|
         for case in range(4):
             p = 2 + case % 2
             sigma = random_correlation(p, RngStream(6400 + case))
             model = WishartModel(6.0, sigma)
-            v = eigen_gpi_check(model, (1.0,) * p, 2, 200000, RngStream(219, case))
+            v = eigen_gpi_check(model, (1.0,) * p, (2,), 200000, RngStream(219, case))[2]
             want = minor_moment(model, 0, 1.0)
             assert abs(v.lhs - want) < 4 * v.lhs_se, (
                 f"identity case {case}: {v.lhs:.6g} vs {want:.6g}"
@@ -332,9 +335,7 @@ def test_criterion_10_conjecture_checks_proved_and_open():
             exps = ExponentVector(
                 tuple(float(x) for x in param.uniform(0.2, 1.5, size=2)), (1, 1)
             )
-            v = product_moment_conjecture_check(
-                model, exps, 2, 30000, RngStream(120, case)
-            )
+            v = product_moment_conjecture_check(model, exps, 30000, RngStream(120, case))
             assert v.status == "proved"
             assert v.verdict != "Violated", f"conj11 case {case}: z={v.z:.2f}"
         for case in range(20):
@@ -342,8 +343,8 @@ def test_criterion_10_conjecture_checks_proved_and_open():
             sigma = random_correlation(d, RngStream(6600 + case))
             model = WishartModel(d + 2.5, sigma, BlockSpec((1,) * d))
             v = tail_probability_conjecture_check(
-                model, None, 2, 30000, RngStream(220, case)
-            )
+                model, None, (2,), 30000, RngStream(220, case)
+            )[2]
             assert v.status == "proved"
             assert v.verdict != "Violated", f"conj36 case {case}: z={v.z:.2f}"
         # open shapes run to completion and emit harness rows

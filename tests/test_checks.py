@@ -179,21 +179,22 @@ def test_gpi_sandwich_holds_and_detail():
     sigma = random_correlation(3, RngStream(51))
     m = WishartModel(6.0, sigma, BlockSpec((1, 1, 1)))
     exps = ExponentVector((0.4, 0.4, 0.4), (-1, -1, -1))
-    out = gpi_sandwich(m, exps, 2, 40000, RngStream(1001))
-    assert set(out) == {"lower", "upper"}
-    assert out["lower"].verdict != "Violated"
-    assert out["upper"].verdict != "Violated"
-    assert out["lower"].direction == ">=" and out["upper"].direction == "<="
-    assert out["lower"].detail["split"] == 2
-    assert out["upper"].detail["window_rules"] == ["exact"] * 3
-    assert out["lower"].statement == STATEMENTS["sandwich"]
+    out = gpi_sandwich(m, exps, (2,), 40000, RngStream(1001))
+    assert list(out) == [(2, "lower"), (2, "upper")]
+    lower, upper = out[2, "lower"], out[2, "upper"]
+    assert lower.verdict != "Violated"
+    assert upper.verdict != "Violated"
+    assert lower.direction == ">=" and upper.direction == "<="
+    assert lower.detail["split"] == 2 and lower.detail["shared_splits"] == [2]
+    assert upper.detail["window_rules"] == ["exact"] * 3
+    assert lower.statement == STATEMENTS["sandwich"]
 
 
 def test_gpi_sandwich_block_diagonal_is_tight():
     m = WishartModel(7.0, np.eye(2), BlockSpec((1, 1)))
     exps = ExponentVector((0.5, 0.5), (-1, -1))
-    out = gpi_sandwich(m, exps, 2, 40000, RngStream(1002), bounds=("lower",))
-    v = out["lower"]
+    out = gpi_sandwich(m, exps, (2,), 40000, RngStream(1002), bounds=("lower",))
+    v = out[2, "lower"]
     # independent blocks: the two sides estimate the same number
     assert abs(v.z) < 4.0
 
@@ -201,7 +202,7 @@ def test_gpi_sandwich_block_diagonal_is_tight():
 def test_gpi_sandwich_zero_exponent_group_is_exact_one():
     m = WishartModel(7.0, corr2(0.4), BlockSpec((1, 1)))
     exps = ExponentVector((0.5, 0.0), (-1, -1))
-    lower = gpi_sandwich(m, exps, 2, 3000, RngStream(1030), bounds=("lower",))["lower"]
+    lower = gpi_sandwich(m, exps, (2,), 3000, RngStream(1030), bounds=("lower",))[2, "lower"]
     # E[L * 1] >= E[L] * 1 is an identity, whatever the sample
     assert lower.verdict == "Holds" and lower.z == inf
     assert lower.lhs == lower.rhs and lower.lhs_se > 0
@@ -210,12 +211,12 @@ def test_gpi_sandwich_zero_exponent_group_is_exact_one():
 def test_gpi_sandwich_rejects_wrong_signs_and_window():
     m = WishartModel(8.0, np.eye(4), BlockSpec((2, 2)))
     with pytest.raises(ValueError):
-        gpi_sandwich(m, ExponentVector((0.5, 0.5), (1, -1)), 2, 100, RngStream(0))
+        gpi_sandwich(m, ExponentVector((0.5, 0.5), (1, -1)), (2,), 100, RngStream(0))
     # nu = 3.0 is finite (< alpha/2 - 1/2 = 3.5) but outside the
     # conservative integral window (hi = alpha/2 - 3/2 = 2.5)
     exps = ExponentVector((3.0, 1.0), (-1, -1))
     with pytest.raises(UpperBoundUnavailable):
-        gpi_sandwich(m, exps, 2, 100, RngStream(0), bounds=("upper",))
+        gpi_sandwich(m, exps, (2,), 100, RngStream(0), bounds=("upper",))
 
 
 # ---------------------------------------------------------------- conjectures
@@ -224,26 +225,25 @@ def test_gpi_sandwich_rejects_wrong_signs_and_window():
 def test_product_moment_check_block_diagonal_and_open_status():
     m2 = WishartModel(5.0, np.eye(3), BlockSpec((2, 1)))
     v = product_moment_conjecture_check(
-        m2, ExponentVector((0.7, 1.1), (1, 1)), 2, 30000, RngStream(1003)
+        m2, ExponentVector((0.7, 1.1), (1, 1)), 30000, RngStream(1003)
     )
     assert v.status == "proved" and abs(v.z) < 4
     m3 = WishartModel(5.0, random_correlation(3, RngStream(52)), BlockSpec((1, 1, 1)))
     v3 = product_moment_conjecture_check(
-        m3, ExponentVector((0.5, 0.5, 0.5), (1, 1, 1)), 3, 30000, RngStream(1004)
+        m3, ExponentVector((0.5, 0.5, 0.5), (1, 1, 1)), 30000, RngStream(1004)
     )
     assert v3.status == "open"
     assert v3.verdict != "Violated"
-    assert v3.detail["split"] == 3
     with pytest.raises(ValueError):
         product_moment_conjecture_check(
-            m3, ExponentVector((0.5, 0.5, 0.5), (1, -1, 1)), 2, 100, RngStream(0)
+            m3, ExponentVector((0.5, 0.5, 0.5), (1, -1, 1)), 100, RngStream(0)
         )
 
 
 def test_product_moment_check_zero_exponents_exact():
     m = WishartModel(5.0, np.eye(2), BlockSpec((1, 1)))
     v = product_moment_conjecture_check(
-        m, ExponentVector((0.0, 0.0), (1, 1)), 2, 100, RngStream(1005)
+        m, ExponentVector((0.0, 0.0), (1, 1)), 100, RngStream(1005)
     )
     assert v.verdict == "Holds" and v.z == inf
 
@@ -251,25 +251,25 @@ def test_product_moment_check_zero_exponents_exact():
 def test_tail_probability_check_pilot_and_explicit():
     sigma = random_correlation(2, RngStream(53))
     m = WishartModel(6.0, sigma, BlockSpec((1, 1)))
-    v = tail_probability_conjecture_check(m, None, 2, 20000, RngStream(1006))
+    v = tail_probability_conjecture_check(m, None, (2,), 20000, RngStream(1006))[2]
     assert v.status == "proved"
     assert v.verdict != "Violated"
     assert len(v.detail["thresholds"]) == 2
     # pilot medians put each marginal near probability 1/2
     assert 0.15 < v.lhs < 0.6
     explicit = tail_probability_conjecture_check(
-        m, (6.0, 7.0), 2, 20000, RngStream(1007)
-    )
+        m, (6.0, 7.0), (2,), 20000, RngStream(1007)
+    )[2]
     assert explicit.detail["thresholds"] == (6.0, 7.0)
     with pytest.raises(ValueError):
-        tail_probability_conjecture_check(m, (6.0,), 2, 100, RngStream(0))
+        tail_probability_conjecture_check(m, (6.0,), (2,), 100, RngStream(0))
     with pytest.raises(ValueError):
-        tail_probability_conjecture_check(m, (6.0, -1.0), 2, 100, RngStream(0))
+        tail_probability_conjecture_check(m, (6.0, -1.0), (2,), 100, RngStream(0))
 
 
 def test_tail_probability_strong_positive_dependence_holds():
     m = WishartModel(4.0, corr2(0.85), BlockSpec((1, 1)))
-    v = tail_probability_conjecture_check(m, None, 2, 60000, RngStream(1008))
+    v = tail_probability_conjecture_check(m, None, (2,), 60000, RngStream(1008))[2]
     assert v.verdict == "Holds"
 
 
@@ -278,18 +278,18 @@ def test_tail_probability_strong_positive_dependence_holds():
 
 def test_eigen_check_zero_powers_exact_and_variants():
     m = WishartModel(5.0, np.eye(2))
-    v = eigen_gpi_check(m, (0.0, 0.0), 2, 100, RngStream(1009))
+    v = eigen_gpi_check(m, (0.0, 0.0), (2,), 100, RngStream(1009))[2]
     assert v.verdict == "Holds" and v.z == inf
     with pytest.raises(ValueError):
-        eigen_gpi_check(m, (1.0, 1.0), 3, 100, RngStream(0))
+        eigen_gpi_check(m, (1.0, 1.0), (3,), 100, RngStream(0))
     with pytest.raises(ValueError):
-        eigen_gpi_check(m, (1.0,), 2, 100, RngStream(0))
+        eigen_gpi_check(m, (1.0,), (2,), 100, RngStream(0))
 
 
 def test_eigen_check_zero_power_group_is_exact_one():
     m = WishartModel(5.0, random_correlation(2, RngStream(58)))
     for nus in ((1.0, 0.0), (0.0, 1.0)):
-        v = eigen_gpi_check(m, nus, 2, 3000, RngStream(1031))
+        v = eigen_gpi_check(m, nus, (2,), 3000, RngStream(1031))[2]
         assert v.verdict == "Holds" and v.z == inf
         assert v.lhs == v.rhs and v.lhs_se > 0
 
@@ -297,7 +297,7 @@ def test_eigen_check_zero_power_group_is_exact_one():
 def test_eigen_check_power_product_holds():
     sigma = random_correlation(3, RngStream(54))
     m = WishartModel(6.0, sigma)
-    v = eigen_gpi_check(m, (1.5, 0.8, 0.3), 2, 50000, RngStream(1010))
+    v = eigen_gpi_check(m, (1.5, 0.8, 0.3), (2,), 50000, RngStream(1010))[2]
     assert v.verdict != "Violated"
     assert v.detail["variant"] == "power"
 
@@ -306,7 +306,7 @@ def test_eigen_check_determinant_identity():
     # all powers 1: the eigenvalue product is the determinant, so the
     # joint side must agree with the closed-form determinant moment
     m = WishartModel(7.0, random_correlation(3, RngStream(55)))
-    v = eigen_gpi_check(m, (1.0, 1.0, 1.0), 2, 120000, RngStream(1011))
+    v = eigen_gpi_check(m, (1.0, 1.0, 1.0), (2,), 120000, RngStream(1011))[2]
     want = minor_moment(m, 0, 1.0)
     assert abs(v.lhs - want) < 4.5 * v.lhs_se
 
@@ -315,12 +315,12 @@ def test_eigen_check_functional_variant():
     m = WishartModel(6.0, random_correlation(2, RngStream(56)))
     g = lambda L: np.where(L[:, 0] > 6.0, 1.0, 0.0)
     h = lambda L: np.where(L[:, 0] > 1.0, 1.0, 0.0)
-    v = eigen_gpi_check(m, None, 2, 50000, RngStream(1012), fns=(g, h))
+    v = eigen_gpi_check(m, None, (2,), 50000, RngStream(1012), fns=(g, h))[2]
     assert v.detail["variant"] == "increasing-functional"
     assert v.verdict != "Violated"
     bad = lambda L: L[:, 0] - 100.0  # takes negative values
     with pytest.raises(ValueError):
-        eigen_gpi_check(m, None, 2, 1000, RngStream(1013), fns=(g, bad))
+        eigen_gpi_check(m, None, (2,), 1000, RngStream(1013), fns=(g, bad))
 
 
 # ---------------------------------------------------------------- bernstein
@@ -463,6 +463,42 @@ def test_radial_moment_ratio_lognormal_closed_form():
     assert abs(est.mean - want) < 4 * est.stderr
 
 
+def test_radial_moment_ratio_is_one_estimator(monkeypatch):
+    import wishartgpi.checks as checks
+
+    calls = []
+    original = checks.mc_mean
+
+    def counting(draw, n, rng, workers=1, columns=None):
+        calls.append(columns)
+        return original(draw, n, rng, workers, columns)
+
+    monkeypatch.setattr(checks, "mc_mean", counting)
+    rspec = RadialSpec("lognormal", mu=0.0, sigma=0.5)
+    # distinct powers 0.5, 1.0 and the total 2.0 are the columns; zero is exact
+    radial_moment_ratio(rspec, (0.5, 0.5, 1.0, 0.0), 4, n=2000, rng=RngStream(1026))
+    assert calls == [3]
+    # one active power: numerator and denominator are the same column
+    one = radial_moment_ratio(rspec, (0.0, 1.5), 2, n=2000, rng=RngStream(1027))
+    assert one.mean == 1.0 and one.stderr == 0.0
+
+
+def test_radial_moment_ratio_z_is_calibrated():
+    # log Q = -s^2 sum_{i<j} a_i a_j exactly; the delta-method stderr on
+    # the common-draw columns must make (Q - true) / se standard normal
+    s, alphas = 0.5, (0.5, 0.5, 1.0)
+    want = exp(-s * s * (0.25 + 0.5 + 0.5))
+    z = [
+        (q.mean - want) / q.stderr
+        for q in (
+            radial_moment_ratio(RadialSpec("lognormal", sigma=s), alphas, 3, n=4000, rng=RngStream(1028, i))
+            for i in range(300)
+        )
+    ]
+    assert abs(np.mean(z)) < 0.2
+    assert 0.85 < np.std(z) < 1.15
+
+
 def test_radial_spec_validation_and_scaling():
     with pytest.raises(ValueError):
         RadialSpec("gamma")
@@ -542,10 +578,10 @@ def test_split_z_is_calibrated_where_the_statement_is_an_equality():
     zs = {"sandwich": [], "conj36": [], "opp_upper": []}
     for s in range(seeds):
         zs["sandwich"].append(
-            gpi_sandwich(m, inverted, 2, n, RngStream(1100, s), bounds=("lower",))["lower"].z
+            gpi_sandwich(m, inverted, (2,), n, RngStream(1100, s), bounds=("lower",))[2, "lower"].z
         )
         zs["conj36"].append(
-            tail_probability_conjecture_check(m, (9.3, 14.0), 2, n, RngStream(1101, s)).z
+            tail_probability_conjecture_check(m, (9.3, 14.0), (2,), n, RngStream(1101, s))[2].z
         )
         zs["opp_upper"].append(opposite_gpi_upper(m, (0.5, 1.0), n, RngStream(1102, s)).z)
     for kind, z in zs.items():

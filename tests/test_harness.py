@@ -617,3 +617,108 @@ def test_run_builds_no_kind_parameters_per_row(monkeypatch):
     for cfg in configs:
         assert len(run(cfg)) == 3
     assert built == []
+
+
+# ---------------------------------------------------------------- shared sample
+
+
+def three_block_raw(ineq, **over):
+    """A config for `ineq` on three scalar blocks (two splits), two random scale matrices."""
+    # conj36 reads no kind fields, so its small config is the common base
+    raw = kind_raw("conj36", inequality_id=ineq, d=3, block_sizes=[1, 1, 1],
+                   sigma_source={"kind": "random", "count": 2})
+    raw.update({
+        "sandwich": {"exponents": {"values": [0.4, 0.4, 0.4], "signs": [-1, -1, -1]}, "bound": "both"},
+        "conj11": {"exponents": {"values": [0.7, 1.1, 0.5], "signs": [1, 1, 1]}},
+        "conj36": {},
+        "opp_lower": {"exponents": {"values": [0.4, 0.8, 0.8], "signs": [-1, 1, 1]}},
+        "opp_upper": {"exponents": {"values": [0.5, 0.5, 1.0], "signs": [-1, -1, 1]}},
+        "eigen": {"d": 1, "block_sizes": [3], "exponents": {"values": [1.0, 0.5, 1.0], "signs": [1, 1, 1]}},
+    }[ineq])
+    raw.update(over)
+    return raw
+
+
+def test_sandwich_splits_share_the_joint_estimate():
+    rows = run(parse_config(three_block_raw("sandwich", n_samples=3000)))
+    assert [r.experiment_id for r in rows[:4]] == [
+        "sandwich-s00-k2-lower", "sandwich-s00-k2-upper", "sandwich-s00-k3-lower", "sandwich-s00-k3-upper",
+    ]
+    k2, k3 = rows[0], rows[2]
+    assert (k2.lhs, k2.lhs_se, k2.n) == (k3.lhs, k3.lhs_se, k3.n)
+    assert k2.rhs != k3.rhs
+    assert k2.detail["shared_splits"] == k3.detail["shared_splits"] == [2, 3]
+    # the upper bound does not depend on the split: one verdict on both rows
+    assert rows[1].csv_values()[8:] == rows[3].csv_values()[8:]
+
+
+@pytest.mark.parametrize("ineq", ["sandwich", "eigen", "conj11", "conj36", "opp_lower", "opp_upper"])
+def test_one_estimator_per_scale_matrix(monkeypatch, ineq):
+    import wishartgpi.checks as checks
+    import wishartgpi.montecarlo as montecarlo
+
+    calls = []
+    original = montecarlo.mc_mean
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "mc_mean", counting)
+    monkeypatch.setattr(montecarlo, "mc_mean", counting)
+    rows = run(parse_config(three_block_raw(ineq, n_samples=2000)))
+    per_matrix = 4 if ineq == "sandwich" else 2
+    assert len(rows) == 2 * per_matrix
+    assert not any("candidate_rerun" in r.detail for r in rows)
+    assert calls == [2000, 2000]
+    for first in (rows[0], rows[per_matrix]):
+        assert first.detail["shared_splits"] == [2, 3]
+    if ineq in ("conj11", "opp_lower", "opp_upper"):
+        # the right side does not depend on the split: one verdict per matrix
+        assert rows[0].csv_values()[8:] == rows[1].csv_values()[8:]
+        assert [r.detail["split"] for r in rows] == [2, 3, 2, 3]
+
+
+@pytest.mark.parametrize("ineq", ["eigen", "conj36", "conj11"])
+def test_shared_sample_csv_is_worker_independent(ineq):
+    # just over two chunks, so the workers really split the estimator
+    over = {"n_samples": 2 * 65536 + 1}
+    if ineq != "conj11":
+        over["sigma_source"] = {"kind": "random", "count": 1}
+    sheets = [render_csv(run(parse_config(three_block_raw(ineq, **over)), workers=w)) for w in (1, 2, 8)]
+    assert sheets[0] == sheets[1] == sheets[2]
+    assert sheets[0].count("\n") == 1 + (4 if ineq == "conj11" else 2)
+
+
+def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch):
+    import wishartgpi.checks as checks
+    from wishartgpi.montecarlo import MCEstimate
+
+    # three blocks, one of them 2x2: conj36 is open, so a candidate reruns
+    raw = kind_raw("conj36", d=3, block_sizes=[1, 1, 2], alpha=6.0, n_samples=3000,
+                   sigma_source={"kind": "random", "count": 1})
+    estimators, sides = [], []
+    original_mean, original_sides = checks.mc_mean, checks._split_sides
+
+    def counting(*args, **kwargs):
+        estimators.append(args[1])
+        return original_mean(*args, **kwargs)
+
+    def forced(est, *cols):
+        lhs, rhs, se = original_sides(est, *cols)
+        sides.append(est.n)
+        if len(sides) == 2:  # the first pass at k = 3: put the split product far above
+            rhs = MCEstimate(lhs.mean + 100.0 * se, rhs.stderr, rhs.n)
+        return lhs, rhs, se
+
+    monkeypatch.setattr(checks, "mc_mean", counting)
+    monkeypatch.setattr(checks, "_split_sides", forced)
+    k2, k3 = run(parse_config(raw))
+    assert estimators == [3000, 30000]
+    assert sides == [3000, 3000, 30000, 30000]
+    assert k2.experiment_id == "conj36-s00-k2" and k3.experiment_id == "conj36-s00-k3"
+    assert k2.n == 3000 and "candidate_rerun" not in k2.detail
+    assert k3.n == 30000
+    assert k3.detail["candidate_rerun"]["first_n"] == 3000
+    assert k3.detail["candidate_rerun"]["first_z"] == pytest.approx(-100.0)
+    assert k3.verdict != "Violated"

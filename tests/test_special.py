@@ -162,37 +162,40 @@ def test_zonal_laplace_beltrami_eigenfunction():
     with rho_kappa = sum_i k_i(k_i - i). Together with unitriangularity
     in the monomial basis and the trace-power sum rule this pins the
     polynomials down uniquely, so it is an independent oracle for the
-    recurrence-built table.
+    recurrence-built table. The check is exact polynomial arithmetic over
+    the rationals: the i, j and j, i terms pair into
+    (x_i^2 dC/dx_i - x_j^2 dC/dx_j) / (x_i - x_j), a polynomial because C
+    is symmetric, so each pair is divided out with zero remainder.
     """
     sympy = pytest.importorskip("sympy")
     for k in (2, 3, 4):
         p = k
-        xs = sympy.symbols(f"x0:{p}", positive=True)
+        xs = sympy.symbols(f"x0:{p}")
         table = zonal_table(k)
         for kappa in partitions_of(k, max_parts=p):
-            poly = sympy.Integer(0)
+            terms = {}
             for lam, c in table.coeffs[kappa].items():
                 lam_p = tuple(lam) + (0,) * (p - len(lam))
-                mono = sympy.Integer(0)
-                seen = set()
                 for perm in set(permutations(lam_p)):
-                    if perm in seen:
-                        continue
-                    seen.add(perm)
-                    term = sympy.Integer(1)
-                    for xi, e in zip(xs, perm):
-                        term *= xi**e
-                    mono += term
-                poly += sympy.Rational(c.numerator, c.denominator) * mono
-            applied = sympy.Integer(0)
+                    terms[perm] = sympy.Rational(c.numerator, c.denominator)
+            poly = sympy.Poly.from_dict(terms, *xs, domain="QQ")
+            grads = [poly.diff(x) for x in xs]
+            applied = sum(
+                (sympy.Poly(x**2, *xs, domain="QQ") * g.diff(x) for x, g in zip(xs, grads)),
+                sympy.Poly(0, *xs, domain="QQ"),
+            )
             for i in range(p):
-                applied += xs[i] ** 2 * sympy.diff(poly, xs[i], 2)
-                for j in range(p):
-                    if j != i:
-                        applied += xs[i] ** 2 / (xs[i] - xs[j]) * sympy.diff(poly, xs[i])
+                for j in range(i + 1, p):
+                    num = (
+                        sympy.Poly(xs[i] ** 2, *xs, domain="QQ") * grads[i]
+                        - sympy.Poly(xs[j] ** 2, *xs, domain="QQ") * grads[j]
+                    )
+                    quotient, remainder = num.div(sympy.Poly(xs[i] - xs[j], *xs, domain="QQ"))
+                    assert remainder.is_zero
+                    applied += quotient
             rho = sum(ki * (ki - idx) for idx, ki in enumerate(kappa, start=1))
             eig = rho + k * (p - 1)
-            assert sympy.simplify(sympy.expand(applied) - eig * poly) == 0
+            assert applied == poly * eig
 
 
 # ------------------------------------------------- pair-product expansion

@@ -19,6 +19,7 @@ from wishartgpi.wishart import (
     random_correlation,
     sample,
     sample_sphere,
+    sphere_batch,
 )
 
 
@@ -234,3 +235,5 @@ def test_sample_sphere_unit_norm_and_mean():
     assert np.all(np.abs(u.mean(axis=0)) < 4 / np.sqrt(20000))
     one = sample_sphere(3, RngStream(8))
     assert one.shape == (3,)
+    # the stream-level sampler is the generator-level one on a fresh generator
+    assert np.array_equal(u, sphere_batch(RngStream(8).generator(), 20000, 4))
