@@ -1,20 +1,22 @@
 """Inequality checks: statistical verdicts for every bound in the library.
 
-Each check estimates (or computes exactly) the two sides of one
-inequality and classifies the comparison as Holds / Violated /
-Inconclusive through the z-score of their difference. A split statement
-E[L R] >= E[L] E[R] draws L and R once, from one sample, and takes the
-stderr of its margin from their joint co-moments. A check that takes a
-sequence of splits runs one estimator for all of them: every split's
-groups are columns of that one sample, so each split reads its verdict
-off the same draws. A check draws its estimators from the streams of one
-StreamPlan in call order (a calibration pilot, then the shared
-estimator, then any rerun), so one scale matrix uses one plan whatever
-the number of splits. A Violated verdict on a statement that is only
-conjectured is automatically re-run at 10x the sample size on fresh
-streams before being reported, to suppress Monte Carlo false positives;
-the rerun estimates every split again, and only the candidate splits'
-verdicts are replaced.
+Each check validates its inputs and computes what it can in closed form,
+then hands one driver, `_mc_verdicts`, a draw callback of k Monte Carlo
+columns and a map from their joint estimate to the two sides of each of
+its verdicts. The driver runs one estimator on the next stream of the
+check's StreamPlan and classifies every comparison as Holds / Violated /
+Inconclusive through the z-score of its margin. A split statement
+E[L R] >= E[L] E[R] takes L and R as columns of that one sample and the
+stderr of its margin from their joint co-moments; a check that takes a
+sequence of splits reads every split off the same draws. Streams go out
+in call order (a calibration pilot, the estimator, then any rerun), so
+one scale matrix uses one plan whatever the number of splits.
+
+Rerun rule: a Violated verdict on a statement that is not proved is a
+candidate Monte Carlo false positive. The driver then runs the estimator
+once more at 10x the sample size on fresh streams and replaces only the
+candidates' verdicts, each recording its first n and z under
+``candidate_rerun``.
 """
 
 from __future__ import annotations
@@ -36,15 +38,12 @@ from .bounds import integral_window, log_minor_bound_integral
 from .linalg import as_symmetric, block_cholesky, direct_sum, schur_complement
 from .montecarlo import (
     ExponentVector,
-    Finiteness,
     JointEstimate,
     MCEstimate,
     PowerProducts,
     as_plan,
-    finiteness_classify,
     mc_mean,
     mc_probability,  # noqa: F401  (perfbench/layers.py traces the estimators bound here)
-    mc_product_moment,
     product_columns,
 )
 from .special import log_mvgamma
@@ -194,22 +193,41 @@ def verdict_from(
     )
 
 
-def _rerun_candidate(build, n: int, status: str) -> dict:
-    # build(n) returns verdicts by key from one shared estimator. Violated
-    # on a non-proved statement is re-checked by one rerun of that
-    # estimator at 10x n on fresh streams; only the candidates' verdicts
-    # are replaced.
-    first = build(int(n))
+def _mc_verdicts(
+    ineq: str, status: str, draw, k: int, sides, n: int, plan, workers: int, z_threshold: float
+) -> dict:
+    """Every verdict of one check, keyed as `sides` keys them, from one estimator.
+
+    ``draw(generator, m)`` returns an (m, k) array; ``sides(est, n)`` maps
+    the JointEstimate of n draws to ``{key: (direction, lhs, rhs,
+    margin_se, detail)}``, with margin_se None for independent sides. The
+    estimator takes the next stream of `plan`; k = 0 draws nothing and
+    takes none. The rerun rule of the module docstring applies to the
+    Violated keys.
+    """
+
+    def once(n_eff):
+        if k:
+            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=k)
+        else:
+            est = JointEstimate(np.zeros(0), np.zeros((0, 0)), n_eff)
+        return {
+            key: verdict_from(
+                lhs, rhs, direction, z_threshold, STATEMENTS[ineq], status, detail, margin_se
+            )
+            for key, (direction, lhs, rhs, margin_se, detail) in sides(est, n_eff).items()
+        }
+
+    first = once(int(n))
     candidates = [key for key, v in first.items() if v.verdict == "Violated"]
     if not candidates or status == "proved":
         return first
-    confirm = build(10 * int(n))
-    out = dict(first)
+    confirm = once(10 * int(n))
     for key in candidates:
         v = confirm[key]
         rerun = {"first_n": int(n), "first_z": first[key].z}
-        out[key] = replace(v, detail={**v.detail, "candidate_rerun": rerun})
-    return out
+        first[key] = replace(v, detail={**v.detail, "candidate_rerun": rerun})
+    return first
 
 
 def _split_sides(est: JointEstimate, joint, left, right, scale: float = 1.0):
@@ -225,6 +243,11 @@ def _split_sides(est: JointEstimate, joint, left, right, scale: float = 1.0):
     g_rhs = scale * (est.unit(left, b) + est.unit(right, a))
     rhs = MCEstimate(scale * a * b, est.stderr(g_rhs), est.n)
     return lhs, rhs, est.stderr(est.unit(joint) - g_rhs)
+
+
+def _sides_by_split(est: JointEstimate, ks, triples, detail) -> dict:
+    # The >= sides of each split k from its (joint, left, right) columns.
+    return {k: (">=", *_split_sides(est, *t), detail(k)) for k, t in zip(ks, triples)}
 
 
 def _split_list(splits, top: int) -> list[int]:
@@ -332,10 +355,10 @@ def gpi_sandwich(
     if any(s != -1 for s in exps.signs):
         raise ValueError("the sandwich applies to all-inverted exponents (every sign -1)")
     ks = _split_list(splits, model.d)
-    lower = "lower" in bounds
-    groups = _joint_and_split_groups(model.d, ks if lower else ())
+    lower = ks if "lower" in bounds else []
+    groups = _joint_and_split_groups(model.d, lower)
     draw, cols = product_columns(model, exps, groups, override_finiteness)
-    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
+    triples = _split_triples(cols.index, len(lower))
     upper = None
     if "upper" in bounds:
         M = block_cholesky(model.sigma, model.spec)
@@ -356,33 +379,22 @@ def gpi_sandwich(
                     f"block {i} (size {p_i}): nu={nu_i} unusable for the integral bound: {err}"
                 ) from None
             rules.append(integral_window(p_i, model.alpha)[2])
-        upper = verdict_from(
-            est.column(cols.index[0]),
-            exp(log_bound),
-            "<=",
-            z_threshold,
-            statement=STATEMENTS["sandwich"],
-            status="proved",
-            detail={"side": "upper", "window_rules": rules, "shared_splits": ks},
+        upper = exp(log_bound)
+
+    def sides(est, _n):
+        low = _sides_by_split(
+            est, lower, triples, lambda k: {"side": "lower", "split": k, "shared_splits": ks}
         )
-    out: dict[tuple[int, str], InequalityVerdict] = {}
-    triples = _split_triples(cols.index, len(ks) if lower else 0)
-    for j, k in enumerate(ks):
-        if lower:
-            lhs, rhs, se = _split_sides(est, *triples[j])
-            out[k, "lower"] = verdict_from(
-                lhs,
-                rhs,
-                ">=",
-                z_threshold,
-                statement=STATEMENTS["sandwich"],
-                status="proved",
-                detail={"side": "lower", "split": k, "shared_splits": ks},
-                margin_se=se,
-            )
-        if upper is not None:
-            out[k, "upper"] = upper
-    return out
+        out = {}
+        for k in ks:
+            if k in low:
+                out[k, "lower"] = low[k]
+            if upper is not None:
+                detail = {"side": "upper", "window_rules": rules, "shared_splits": ks}
+                out[k, "upper"] = ("<=", est.column(cols.index[0]), upper, None, detail)
+        return out
+
+    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)
 
 
 def product_moment_conjecture_check(
@@ -407,16 +419,13 @@ def product_moment_conjecture_check(
     if model.d < 2:
         raise ValueError("need at least two blocks")
     status = proved_status("conj11", model.d, model.spec.sizes)
+    draw, cols = product_columns(model, exps, [range(model.d)])
     rhs = exp(sum(log_minor_moment(model, i, v) for i, v in enumerate(exps.values)))
-    plan = as_plan(rng)
 
-    def build(n_eff):
-        lhs = mc_product_moment(model, exps, n_eff, plan.allocate(), workers=workers)
-        return {None: verdict_from(
-            lhs, rhs, ">=", z_threshold, statement=STATEMENTS["conj11"], status=status,
-        )}
+    def sides(est, _n):
+        return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _rerun_candidate(build, n, status)[None]
+    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
 
 
 def tail_probability_conjecture_check(
@@ -456,35 +465,22 @@ def tail_probability_conjecture_check(
     log_t = [log(t) for t in thresholds]
     # no two of these groups coincide, so each is its own column
     groups = _joint_and_split_groups(model.d, ks)
+    triples = _split_triples(range(len(groups)), len(ks))
 
     def draw(gen, m):
         A = _sample_batch(model, gen, m)
         below = [factor_logdet(A, sl) <= lt for sl, lt in zip(slices, log_t)]
         return np.column_stack([np.all([below[i] for i in g], axis=0) for g in groups])
 
-    def build(n_eff):
-        try:
-            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=len(groups))
-        except DegenerateVariance:
-            raise DegenerateEvent(
-                "event probability estimated at 0 or 1; thresholds degenerate"
-            ) from None
-        out = {}
-        for k, triple in zip(ks, _split_triples(range(len(groups)), len(ks))):
-            lhs, rhs, se = _split_sides(est, *triple)
-            out[k] = verdict_from(
-                lhs,
-                rhs,
-                ">=",
-                z_threshold,
-                statement=STATEMENTS["conj36"],
-                status=status,
-                detail={"thresholds": thresholds, "split": k, "shared_splits": ks},
-                margin_se=se,
-            )
-        return out
+    def sides(est, _n):
+        return _sides_by_split(
+            est, ks, triples, lambda k: {"thresholds": thresholds, "split": k, "shared_splits": ks}
+        )
 
-    return _rerun_candidate(build, n, status)
+    try:
+        return _mc_verdicts("conj36", status, draw, len(groups), sides, n, plan, workers, z_threshold)
+    except DegenerateVariance:
+        raise DegenerateEvent("event probability estimated at 0 or 1; thresholds degenerate") from None
 
 
 def eigen_gpi_check(
@@ -546,21 +542,13 @@ def eigen_gpi_check(
             return cols.columns({i: np.log(lam[:, i]) for i in cols.used}, m)
 
         variant = "power"
-    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=k_cols)
-    out = {}
-    for k, cols_k in zip(ks, index):
-        lhs, rhs, se = _split_sides(est, *cols_k)
-        out[k] = verdict_from(
-            lhs,
-            rhs,
-            ">=",
-            z_threshold,
-            statement=STATEMENTS["eigen"],
-            status="proved",
-            detail={"split": k, "variant": variant, "shared_splits": ks},
-            margin_se=se,
+
+    def sides(est, _n):
+        return _sides_by_split(
+            est, ks, index, lambda k: {"split": k, "variant": variant, "shared_splits": ks}
         )
-    return out
+
+    return _mc_verdicts("eigen", "proved", draw, k_cols, sides, n, as_plan(rng), workers, z_threshold)
 
 
 @dataclass(frozen=True)
@@ -635,28 +623,21 @@ def bernstein_pair_check(
     if f.dim != model.spec.sizes[0] or g.dim != model.spec.sizes[1]:
         raise ValueError("functional dimensions must match the two block sizes")
     rhs = f.expectation(model.standalone(0)) * g.expectation(model.standalone(1))
-    detail = {}
-    if not f.atoms and not g.atoms:
-        lhs: MCEstimate | float = rhs  # constants: both sides tr(A1) tr(A2)
-        detail["constant"] = True
-    else:
-        r0, r1 = model.spec.range(0), model.spec.range(1)
+    constant = not f.atoms and not g.atoms
+    r0, r1 = model.spec.range(0), model.spec.range(1)
 
-        def draw(gen, m):
-            A = _sample_batch(model, gen, m)
-            X0, X1 = (factor_gram(A, r).transpose(2, 0, 1) for r in (r0, r1))
-            return f.eval_batch(X0) * g.eval_batch(X1)
+    def draw(gen, m):
+        A = _sample_batch(model, gen, m)
+        X0, X1 = (factor_gram(A, r).transpose(2, 0, 1) for r in (r0, r1))
+        return (f.eval_batch(X0) * g.eval_batch(X1))[:, None]
 
-        lhs = mc_mean(draw, n, as_plan(rng).allocate(), workers)
-    return verdict_from(
-        lhs,
-        rhs,
-        ">=",
-        z_threshold,
-        statement=STATEMENTS["bernstein"],
-        status="proved",
-        detail=detail,
-    )
+    def sides(est, _n):
+        if constant:  # both sides tr(A1) tr(A2)
+            return {None: (">=", rhs, rhs, None, {"constant": True})}
+        return {None: (">=", est.column(0), rhs, None, {})}
+
+    k = 0 if constant else 1
+    return _mc_verdicts("bernstein", "proved", draw, k, sides, n, as_plan(rng), workers, z_threshold)[None]
 
 
 def opposite_gpi_lower(
@@ -686,13 +667,7 @@ def opposite_gpi_lower(
     exps = ExponentVector.from_signed((-nus[0],) + nus[1:])
     # refuse before touching the closed form so infeasible exponents fail
     # the same way on both sides of the comparison
-    cls = finiteness_classify(model.alpha, model.spec.sizes, exps)
-    if cls is Finiteness.INFINITE:
-        raise InfiniteMoment("inverted-minor moment is provably infinite")
-    if cls is Finiteness.UNKNOWN and not override_finiteness:
-        raise InfiniteMoment(
-            "inverted-minor moment not guaranteed finite; pass override_finiteness=True to force"
-        )
+    draw, cols = product_columns(model, exps, [range(model.d)], override_finiteness)
     status = proved_status("opp_lower", model.d, model.spec.sizes)
     log_rhs = log_minor_moment(model, 0, -nus[0])
     for i in range(1, model.d):
@@ -704,18 +679,11 @@ def opposite_gpi_lower(
         )
         log_rhs += nus[i] * log_shrink
     rhs = exp(log_rhs)
-    plan = as_plan(rng)
 
-    def build(n_eff):
-        lhs = mc_product_moment(
-            model, exps, n_eff, plan.allocate(), workers=workers,
-            override_finiteness=override_finiteness,
-        )
-        return {None: verdict_from(
-            lhs, rhs, ">=", z_threshold, statement=STATEMENTS["opp_lower"], status=status
-        )}
+    def sides(est, _n):
+        return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _rerun_candidate(build, n, status)[None]
+    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
 
 
 def opposite_gpi_upper(
@@ -744,18 +712,12 @@ def opposite_gpi_upper(
     draw, cols = product_columns(
         model, exps, [range(model.d), range(model.d - 1)], override_finiteness
     )
-    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=cols.k)
     upright = exp(log_minor_moment(model, model.d - 1, nus[-1]))
-    lhs, rhs, se = _split_sides(est, *cols.index, None, scale=upright)
-    return verdict_from(
-        lhs,
-        rhs,
-        "<=",
-        z_threshold,
-        statement=STATEMENTS["opp_upper"],
-        status="proved",
-        margin_se=se,
-    )
+
+    def sides(est, _n):
+        return {None: ("<=", *_split_sides(est, *cols.index, None, scale=upright), {})}
+
+    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
 
 
 @dataclass(frozen=True)
@@ -911,12 +873,11 @@ def elliptical_gpi_check(
         X = sphere_batch(gen, m, d) @ A.T
         return cols.columns({i: np.log(np.abs(X[:, i])) for i in cols.used}, m)
 
-    def build(n_eff):
+    def sides(est, n_eff):
         if len(active) < 2:
             # one active coordinate: the numerator is its own denominator
             lhs = MCEstimate.exact(1.0)
         else:
-            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=cols.k)
             ratio = est.mean[num] / np.prod(est.mean[dens])
             grad = est.unit(num, ratio / est.mean[num])
             for j in dens:
@@ -925,14 +886,8 @@ def elliptical_gpi_check(
         q = radial_moment_ratio(rspec, alphas, d, n_eff, plan, workers)
         if not q.mean <= 1.0 + 3.0 * q.stderr:
             raise ArithmeticError(f"Q_R = {q.mean} exceeds 1 beyond noise; radial spec broken")
-        return {None: verdict_from(
-            lhs,
-            q,
-            ">=",
-            z_threshold,
-            statement=STATEMENTS["elliptical"],
-            status=status,
-            detail={"q_r": q.mean, "lhs_over_q": lhs.mean / q.mean},
-        )}
+        return {None: (">=", lhs, q, None, {"q_r": q.mean, "lhs_over_q": lhs.mean / q.mean})}
 
-    return _rerun_candidate(build, n, status)[None]
+    # the sphere estimator draws only when two coordinates are active
+    k = cols.k if len(active) > 1 else 0
+    return _mc_verdicts("elliptical", status, draw, k, sides, n, plan, workers, z_threshold)[None]

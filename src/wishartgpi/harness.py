@@ -614,8 +614,7 @@ def run(
     estimator its check starts (a pilot, the shared estimator, a rerun),
     so outputs are a function of (config, seed) only, independent of
     worker count. Without `workers` or a config value, one worker runs
-    every chunk: chunk threads cost more than they save on numpy-bound
-    chunks.
+    every chunk; more workers only cut wall time (README, determinism).
     """
     spec = BlockSpec(config.block_sizes)
     kind = KINDS[config.inequality_id]

@@ -148,13 +148,6 @@ def _chunk_stream(anchor: RngStream, c: int) -> RngStream:
     return RngStream(anchor.seed, (anchor.stream_id << _BLOCK_SHIFT) | c)
 
 
-def _map_chunks(fn, layout, workers: int):
-    if workers <= 1:
-        return [fn(spec) for spec in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, layout))
-
-
 def mc_mean(
     draw_values, n: int, rng: RngStream, workers: int = 1, columns: int | None = None
 ):
@@ -188,7 +181,11 @@ def mc_mean(
         dev = rows - mean[:, None]
         return m, mean, dev @ dev.T
 
-    results = _map_chunks(one, layout, workers)
+    if workers <= 1:
+        results = [one(spec) for spec in layout]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, layout))
     # Pairwise combine, folded in fixed chunk order.
     n_acc, mean_acc, c_acc = 0, np.zeros(k), np.zeros((k, k))
     for nb, mb, cb in results:
@@ -206,25 +203,18 @@ def mc_mean(
 def mc_probability(draw_indicator, n: int, rng: RngStream, workers: int = 1) -> MCEstimate:
     """Probability of an event, with the exact binomial stderr.
 
-    ``draw_indicator(generator, m)`` returns an (m,) boolean array. Raises
-    DegenerateEvent when the estimate is exactly 0 or 1.
+    ``draw_indicator(generator, m)`` returns an (m,) boolean array, the
+    indicator column of one `mc_mean` estimator. Raises DegenerateEvent
+    when the estimate is exactly 0 or 1.
     """
-    layout = _chunk_layout(n)
-
-    def one(spec):
-        c, m = spec
-        gen = _chunk_stream(rng, c).generator()
-        hits = np.asarray(draw_indicator(gen, m), dtype=bool)
-        if hits.shape != (m,):
-            raise ValueError(f"draw_indicator returned shape {hits.shape}, expected ({m},)")
-        return int(hits.sum())
-
-    total = sum(_map_chunks(one, layout, workers))
-    n_tot = sum(m for _, m in layout)
-    p = total / n_tot
-    if p in (0.0, 1.0):
-        raise DegenerateEvent(f"event probability estimated at {p:.0f}; thresholds degenerate")
-    return MCEstimate(p, sqrt(p * (1.0 - p) / n_tot), n_tot)
+    try:
+        est = mc_mean(lambda gen, m: np.asarray(draw_indicator(gen, m), dtype=bool), n, rng, workers)
+    except DegenerateVariance:
+        est = None
+    if est is None or est.mean in (0.0, 1.0):
+        raise DegenerateEvent("event probability estimated at 0 or 1; thresholds degenerate")
+    p = est.mean
+    return MCEstimate(p, sqrt(p * (1.0 - p) / est.n), est.n)
 
 
 @dataclass(frozen=True)

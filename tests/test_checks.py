@@ -552,6 +552,27 @@ def test_elliptical_zero_exponents_exact():
     assert v.verdict == "Holds" and v.lhs == 1.0 and v.rhs == 1.0
 
 
+def test_elliptical_one_active_coordinate_keeps_the_radial_anchor(monkeypatch):
+    import wishartgpi.checks as checks
+
+    # one active coordinate: the sphere side is exactly 1 and takes no
+    # stream, so the radial estimator sits on the plan's first anchor
+    anchors = []
+    original = checks.mc_mean
+
+    def recording(draw, n, rng, workers=1, columns=None):
+        anchors.append((rng.seed, rng.stream_id))
+        return original(draw, n, rng, workers, columns)
+
+    monkeypatch.setattr(checks, "mc_mean", recording)
+    A = np.linalg.cholesky(random_correlation(3, RngStream(1029, 9)))
+    alphas, rspec = (0.0, 1.5, 0.0), RadialSpec("lognormal", mu=0.2, sigma=0.6)
+    v = elliptical_gpi_check(A, alphas, rspec, 2000, RngStream(1029, 4))
+    q = radial_moment_ratio(rspec, alphas, 3, 2000, RngStream(1029, 4))
+    assert anchors[0] == anchors[1] == (1029, 4 * 1024)
+    assert v.lhs == 1.0 and v.detail["q_r"] == q.mean and v.rhs_se == q.stderr
+
+
 def test_elliptical_lognormal_heavy_tail_refused():
     with pytest.raises(InfiniteMoment):
         radial_moment_ratio(

@@ -690,35 +690,63 @@ def test_shared_sample_csv_is_worker_independent(ineq):
     assert sheets[0].count("\n") == 1 + (4 if ineq == "conj11" else 2)
 
 
-def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch):
-    import wishartgpi.checks as checks
-    from wishartgpi.montecarlo import MCEstimate
+# kind -> (a config with one scale matrix, which verdict of the first pass
+# is forced to Violated, the report rows that carry it)
+FORCED = {
+    # open statements: conj36 with a 2x2 block (forced at k = 3), the rest at d = 3
+    "conj36": (kind_raw("conj36", d=3, block_sizes=[1, 1, 2], alpha=6.0), 2, [1]),
+    "conj11": (three_block_raw("conj11"), 1, [0, 1]),
+    "opp_lower": (three_block_raw("opp_lower"), 1, [0, 1]),
+    "elliptical": (kind_raw("elliptical", d=3, block_sizes=[1, 1, 1], elliptical={
+        "alphas": [1.0, 1.0, 1.0], "radial": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0}}), 1, [0]),
+    # proved statements
+    "sandwich": (three_block_raw("sandwich"), 1, [0]),
+    "opp_upper": (three_block_raw("opp_upper"), 1, [0, 1]),
+    "eigen": (three_block_raw("eigen"), 2, [1]),
+    "bernstein": (kind_raw("bernstein"), 1, [0]),
+}
 
-    # three blocks, one of them 2x2: conj36 is open, so a candidate reruns
-    raw = kind_raw("conj36", d=3, block_sizes=[1, 1, 2], alpha=6.0, n_samples=3000,
-                   sigma_source={"kind": "random", "count": 1})
-    estimators, sides = [], []
-    original_mean, original_sides = checks.mc_mean, checks._split_sides
+
+@pytest.mark.parametrize("ineq", list(FORCED))
+def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch, ineq):
+    import wishartgpi.checks as checks
+
+    raw, nth, candidates = FORCED[ineq]
+    raw = dict(raw, n_samples=3000, sigma_source={"kind": "random", "count": 1})
+    estimators, verdicts = [], []
+    original_mean, original_verdict = checks.mc_mean, checks.verdict_from
 
     def counting(*args, **kwargs):
         estimators.append(args[1])
         return original_mean(*args, **kwargs)
 
-    def forced(est, *cols):
-        lhs, rhs, se = original_sides(est, *cols)
-        sides.append(est.n)
-        if len(sides) == 2:  # the first pass at k = 3: put the split product far above
-            rhs = MCEstimate(lhs.mean + 100.0 * se, rhs.stderr, rhs.n)
-        return lhs, rhs, se
+    def forced(*args, **kwargs):
+        v = original_verdict(*args, **kwargs)
+        verdicts.append(v.n)
+        # the nth verdict of the first pass comes back a decisive Violated
+        return replace(v, verdict="Violated", z=-100.0) if len(verdicts) == nth else v
 
     monkeypatch.setattr(checks, "mc_mean", counting)
-    monkeypatch.setattr(checks, "_split_sides", forced)
-    k2, k3 = run(parse_config(raw))
-    assert estimators == [3000, 30000]
-    assert sides == [3000, 3000, 30000, 30000]
-    assert k2.experiment_id == "conj36-s00-k2" and k3.experiment_id == "conj36-s00-k3"
-    assert k2.n == 3000 and "candidate_rerun" not in k2.detail
-    assert k3.n == 30000
-    assert k3.detail["candidate_rerun"]["first_n"] == 3000
-    assert k3.detail["candidate_rerun"]["first_z"] == pytest.approx(-100.0)
-    assert k3.verdict != "Violated"
+    monkeypatch.setattr(checks, "verdict_from", forced)
+    rows = run(parse_config(raw))
+    # the elliptical check draws its sphere estimator, then its radial one
+    per_pass = 2 if ineq == "elliptical" else 1
+    if ineq in ("sandwich", "opp_upper", "eigen", "bernstein"):
+        assert {r.status for r in rows} == {"proved"}
+        assert estimators == [3000] * per_pass
+        assert [i for i, r in enumerate(rows) if r.verdict == "Violated"] == candidates
+        assert not any("candidate_rerun" in r.detail for r in rows)
+        assert exit_code_for(rows) == 2
+        return
+    assert rows[0].status in ("open", "conditional")
+    # one rerun at 10x n estimates every key again; only the candidate is replaced
+    assert estimators == [3000] * per_pass + [30000] * per_pass
+    keys = len(verdicts) // 2
+    assert verdicts == [3000] * keys + [30000] * keys
+    for i, r in enumerate(rows):
+        if i in candidates:
+            assert r.n == 30000 and r.verdict != "Violated"
+            assert r.detail["candidate_rerun"] == {"first_n": 3000, "first_z": -100.0}
+        else:
+            assert r.n == 3000 and "candidate_rerun" not in r.detail
+    assert exit_code_for(rows) == 0
