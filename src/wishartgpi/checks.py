@@ -42,12 +42,13 @@ from .montecarlo import (
     MCEstimate,
     PowerProducts,
     as_plan,
+    column_block,
     mc_mean,
     mc_probability,  # noqa: F401  (perfbench/layers.py traces the estimators bound here)
     product_columns,
 )
 from .special import log_mvgamma
-from .wishart import WishartModel, _sample_batch, factor_eigvals, factor_gram, factor_logdet
+from .wishart import WishartModel, _sample_batch, _sub_blocks, factor_eigvals, factor_gram, factor_logdet
 from .wishart import laplace_transform, log_minor_moment, sphere_batch
 
 __all__ = [
@@ -453,7 +454,7 @@ def tail_probability_conjecture_check(
     slices = [model.spec.range(i) for i in range(model.d)]
     if thresholds is None:
         pilot = max(int(n) // 10, 500)
-        A = _sample_batch(model, plan.allocate().generator(), pilot)
+        A = _sample_batch(model, plan.allocate().generator(), pilot).full()
         thresholds = tuple(float(np.median(np.exp(factor_logdet(A, sl)))) for sl in slices)
     else:
         thresholds = tuple(float(t) for t in thresholds)
@@ -468,9 +469,12 @@ def tail_probability_conjecture_check(
     triples = _split_triples(range(len(groups)), len(ks))
 
     def draw(gen, m):
-        A = _sample_batch(model, gen, m)
-        below = [factor_logdet(A, sl) <= lt for sl, lt in zip(slices, log_t)]
-        return np.column_stack([np.all([below[i] for i in g], axis=0) for g in groups])
+        out = column_block(len(groups), m)
+        for draws, A in _sample_batch(model, gen, m):
+            below = [factor_logdet(A, sl) <= lt for sl, lt in zip(slices, log_t)]
+            for row, g in zip(out, groups):
+                row[draws] = np.all([below[i] for i in g], axis=0)
+        return out.T
 
     def sides(est, _n):
         return _sides_by_split(
@@ -503,9 +507,11 @@ def eigen_gpi_check(
     the same sample, and the result holds one verdict per split. A group
     whose powers are all zero is the exact constant 1. Passing
     ``fns=(g, h)`` checks the general increasing-functional form
-    E g(L_left) h(L_right) >= E g * E h instead: each callable maps an
-    (m, group size) array of ordered eigenvalues to m nonnegative
-    values, and `nus` is ignored.
+    E g(L_left) h(L_right) >= E g * E h instead: each callable maps a
+    (w, group size) array of ordered eigenvalues to w nonnegative
+    values, and `nus` is ignored. The callables see the draws in
+    sub-blocks of at most a few thousand rows, not a chunk at once, so
+    each value must depend on its own row only.
     """
     p = model.p
     ks = _split_list(splits, p)
@@ -516,16 +522,17 @@ def eigen_gpi_check(
         index, k_cols = [(3 * j, 3 * j + 1, 3 * j + 2) for j in range(len(ks))], 3 * len(ks)
 
         def draw(gen, m):
-            lam = factor_eigvals(_sample_batch(model, gen, m))
-            out = []
-            for k in ks:
-                gv = np.asarray(g(lam[:, : k - 1]), dtype=float)
-                hv = np.asarray(h(lam[:, k - 1 :]), dtype=float)
-                for vals in (gv, hv):
-                    if vals.shape != (m,) or np.any(vals < 0):
-                        raise ValueError("eigenvalue functionals must map to m nonnegative values")
-                out += [gv * hv, gv, hv]
-            return np.column_stack(out)
+            out = column_block(k_cols, m)
+            for draws, A in _sample_batch(model, gen, m):
+                lam = factor_eigvals(A)
+                for j, k in enumerate(ks):
+                    gv = np.asarray(g(lam[:, : k - 1]), dtype=float)
+                    hv = np.asarray(h(lam[:, k - 1 :]), dtype=float)
+                    for vals in (gv, hv):
+                        if vals.shape != (len(lam),) or np.any(vals < 0):
+                            raise ValueError("eigenvalue functionals must map to m nonnegative values")
+                    out[3 * j : 3 * j + 3, draws] = gv * hv, gv, hv
+            return out.T
 
         variant = "increasing-functional"
     else:
@@ -538,8 +545,11 @@ def eigen_gpi_check(
         index, k_cols = _split_triples(cols.index, len(ks)), cols.k
 
         def draw(gen, m):
-            lam = factor_eigvals(_sample_batch(model, gen, m))
-            return cols.columns({i: np.log(lam[:, i]) for i in cols.used}, m)
+            out = column_block(k_cols, m)
+            for draws, A in _sample_batch(model, gen, m):
+                lam = factor_eigvals(A)
+                cols.columns({i: np.log(lam[:, i]) for i in cols.used}, out[:, draws])
+            return out.T
 
         variant = "power"
 
@@ -627,9 +637,11 @@ def bernstein_pair_check(
     r0, r1 = model.spec.range(0), model.spec.range(1)
 
     def draw(gen, m):
-        A = _sample_batch(model, gen, m)
-        X0, X1 = (factor_gram(A, r).transpose(2, 0, 1) for r in (r0, r1))
-        return (f.eval_batch(X0) * g.eval_batch(X1))[:, None]
+        out = column_block(1, m)
+        for draws, A in _sample_batch(model, gen, m):
+            X0, X1 = (factor_gram(A, r).transpose(2, 0, 1) for r in (r0, r1))
+            out[0, draws] = f.eval_batch(X0) * g.eval_batch(X1)
+        return out.T
 
     def sides(est, _n):
         if constant:  # both sides tr(A1) tr(A2)
@@ -761,11 +773,13 @@ def radial_moment_ratio(
     """Q_R = prod_i E(R^{alpha_i}) / E(R^{alpha}), exact when the law allows.
 
     Chi-square and point-mass radials give exact values (point mass gives
-    exactly 1). Lognormal moments are Monte Carlo: every distinct power
-    is a column of one sample, read off one normal draw per point, and
-    the stderr is the delta method on log Q_R over their co-moments. A
-    column where a single draw carries most of the sum is refused as
-    divergent. Always satisfies Q_R <= 1 up to stderr.
+    exactly 1), and so does a lognormal radial with at most one nonzero
+    exponent, whose numerator is its denominator: exactly 1, with no
+    stream taken. Otherwise lognormal moments are Monte Carlo: every
+    distinct power is a column of one sample, read off one normal draw
+    per point, and the stderr is the delta method on log Q_R over their
+    co-moments. A column where a single draw carries most of the sum is
+    refused as divergent. Always satisfies Q_R <= 1 up to stderr.
     """
     alphas = tuple(float(a) for a in alphas)
     if any(a < 0 for a in alphas):
@@ -779,14 +793,19 @@ def radial_moment_ratio(
         dof = rspec.dof if rspec.dof is not None else float(d)
         return MCEstimate.exact(_gamma_moment_ratio(dof / 2.0, alphas))
     powers = list(dict.fromkeys(a for a in alphas + (total,) if a != 0.0))
-    if not powers:
+    if len(powers) < 2:
+        # at most one nonzero exponent: the numerator is the denominator
         return MCEstimate.exact(1.0)
     maxima: list[np.ndarray] = []
 
     def draw(gen, m):
-        v = np.exp(np.multiply.outer(rspec.mu + rspec.sigma * gen.standard_normal(m), powers))
-        maxima.append(v.max(axis=0))
-        return v
+        out = column_block(len(powers), m)
+        for draws in _sub_blocks(m):
+            t = rspec.mu + rspec.sigma * gen.standard_normal(draws.stop - draws.start)
+            for row, a in zip(out[:, draws], powers):
+                np.exp(np.multiply(t, a, out=row), out=row)
+        maxima.append(out.max(axis=1))
+        return out.T
 
     est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=len(powers))
     # Heavy-tail diagnostic: one draw carrying most of the sum means the
@@ -870,8 +889,11 @@ def elliptical_gpi_check(
     num, dens = cols.index[0], cols.index[1:]
 
     def draw(gen, m):
-        X = sphere_batch(gen, m, d) @ A.T
-        return cols.columns({i: np.log(np.abs(X[:, i])) for i in cols.used}, m)
+        out = column_block(cols.k, m)
+        for draws in _sub_blocks(m):
+            X = sphere_batch(gen, draws.stop - draws.start, d) @ A.T
+            cols.columns({i: np.log(np.abs(X[:, i])) for i in cols.used}, out[:, draws])
+        return out.T
 
     def sides(est, n_eff):
         if len(active) < 2:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -134,9 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building the four-subcommand tree costs about
+# a millisecond, which a sweep of small configs would pay on every call.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as err:

@@ -20,7 +20,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import DegenerateEvent, DegenerateVariance, InfiniteMoment
-from .wishart import RngStream, WishartModel, _sample_batch, factor_logdet
+from .wishart import RngStream, WishartModel, _sample_batch, _scratch, factor_logdet
 
 __all__ = [
     "CHUNK_DRAWS",
@@ -29,6 +29,7 @@ __all__ = [
     "PowerProducts",
     "StreamPlan",
     "ExponentVector",
+    "column_block",
     "Finiteness",
     "finiteness_classify",
     "mc_mean",
@@ -148,6 +149,17 @@ def _chunk_stream(anchor: RngStream, c: int) -> RngStream:
     return RngStream(anchor.seed, (anchor.stream_id << _BLOCK_SHIFT) | c)
 
 
+def column_block(k: int, m: int) -> np.ndarray:
+    """This thread's (k, m) column block, for a draw callback to fill.
+
+    A callback writes column j of its m draws into row j, sub-block by
+    sub-block, and returns the transposed (m, k) view, which `mc_mean`
+    reduces without a copy. The block is per-thread scratch: the view is
+    valid until the next draw on the same thread.
+    """
+    return _scratch("columns", (k, m))
+
+
 def mc_mean(
     draw_values, n: int, rng: RngStream, workers: int = 1, columns: int | None = None
 ):
@@ -157,6 +169,10 @@ def mc_mean(
     deterministic order; the result is an MCEstimate. With ``columns=k``
     it returns an (m, k) array instead, and the result is a JointEstimate
     of the k means and their co-moments (no draws at all when k = 0).
+    The returned array need only stay valid until the callback's thread
+    draws again: the transposed view of a `column_block` is read in place.
+    A callback runs on a worker thread and must not itself call an
+    estimator or draw (the per-thread scratch would be overwritten).
     Chunk co-moments are merged with the pairwise update of Pebay
     (SAND2008-6212), which is the Chan et al. variance fold at k = 1.
     Raises DegenerateVariance when every draw of some column is identical
@@ -178,7 +194,7 @@ def mc_mean(
             raise FloatingPointError("non-finite draw value in Monte Carlo chunk")
         rows = np.ascontiguousarray(v.reshape(m, k).T)
         mean = rows.mean(axis=1)
-        dev = rows - mean[:, None]
+        dev = np.subtract(rows, mean[:, None], out=_scratch("deviations", (k, m)))
         return m, mean, dev @ dev.T
 
     if workers <= 1:
@@ -313,18 +329,17 @@ class PowerProducts:
         """Indices that enter some column."""
         return sorted({i for support in self.supports for i, _ in support})
 
-    def columns(self, logs, m: int) -> np.ndarray:
-        """(m, k) products from ``logs[i]``, the (m,) logs of x_i for i in `used`.
+    def columns(self, logs, out: np.ndarray) -> None:
+        """Write the k products into the rows of `out`, a (k, w) block.
 
-        Each product is accumulated in log space and exponentiated once.
+        ``logs[i]`` is the (w,) array of log x_i for each i in `used`. Each
+        product is accumulated in log space and exponentiated once, in place.
         """
-        out = np.empty((m, self.k))
-        for j, support in enumerate(self.supports):
-            acc = np.zeros(m)
+        for row, support in zip(out, self.supports):
+            row.fill(0.0)
             for i, power in support:
-                acc += power * logs[i]
-            out[:, j] = np.exp(acc)
-        return out
+                row += power * logs[i]
+            np.exp(row, out=row)
 
 
 def product_columns(
@@ -333,10 +348,10 @@ def product_columns(
     """Draw callback for the product moments of several block groups at once.
 
     Returns ``(draw, cols)``: ``draw(generator, m)`` samples m Bartlett
-    factors once, reads one log-determinant per block off them
-    (`factor_logdet`), and returns the (m, cols.k) array of
-    prod_{i in group} |X_ii|^(signs[i]*values[i]) over the distinct
-    groups; ``cols.index`` maps each group to its column.
+    factors once, reads one log-determinant per block off each factor
+    sub-block (`factor_logdet`), and returns the (m, cols.k) view of a
+    `column_block` holding prod_{i in group} |X_ii|^(signs[i]*values[i])
+    over the distinct groups; ``cols.index`` maps each group to its column.
     Every group is classified for finiteness on its own, and anything
     short of FiniteGuaranteed raises InfiniteMoment unless
     `override_finiteness` allows Unknown.
@@ -363,8 +378,10 @@ def product_columns(
     slices = {i: model.spec.range(i) for i in cols.used}
 
     def draw(gen, m):
-        A = _sample_batch(model, gen, m)
-        return cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, m)
+        out = column_block(cols.k, m)
+        for draws, A in _sample_batch(model, gen, m):
+            cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, out[:, draws])
+        return out.T
 
     return draw, cols
 

@@ -4,11 +4,16 @@ The scale matrix is partitioned into diagonal blocks by a BlockSpec; the
 degrees-of-freedom parameter alpha is real with alpha > p - 1. Sampling
 uses the Bartlett factorization, which stays valid for non-integer alpha.
 
-The batch sampler returns the factors, not the matrices: A = L B is
-lower triangular, held as a (p, p, m) array with the draw index last, so
-that each entry is one contiguous row across draws. The factor_* kernels
-read Monte Carlo functionals off it without forming or decomposing the
-p x p matrices:
+The batch sampler returns the factors, not the matrices. It draws a
+batch's variates up front, in the fixed order of the stream, into
+per-thread scratch, and hands back a FactorStream that builds A = L B
+sub-block by sub-block: _SUB_DRAWS draws at a time, each a lower
+triangular (p, p, w) array with the draw index last, so that each entry
+is one contiguous row across draws. A sub-block is one GEMM and stays in
+cache while a functional reads it; the draws, and every bit of every
+factor, are those of one GEMM over the whole batch. The factor_* kernels
+read Monte Carlo functionals off a factor block without forming or
+decomposing the p x p matrices:
 
 - factor_logdet: a leading block's log-determinant is 2 sum log A_jj
   with A_jj = L_jj B_jj; a 1x1 block is log sum_k A_ik^2; a 2x2 block is
@@ -20,13 +25,20 @@ p x p matrices:
   every p > 3 going through eigvalsh.
 - factor_gram / factor_matrices: Gram blocks as (b, b, m) arrays, and
   the full draws as (m, p, p) matrices.
+
+Scratch ownership: the variates, each factor block and the Monte Carlo
+column blocks built from them live in buffers that belong to the calling
+thread and are reused by its next batch (see `_scratch`). A view of them
+is valid until the next draw on the same thread, so nothing may draw
+inside a draw.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from math import exp, log, pi
+from math import exp, log, pi, prod
 
 import numpy as np
 
@@ -60,6 +72,17 @@ _DET_GUARD = 1e-4
 # goes through eigvalsh instead of the trigonometric closed form.
 _GAP_GUARD = 1e-2
 _COND_GUARD = 1e-3
+# Draws per sub-block of a FactorStream, and of the sphere and radial
+# estimators. At p = 5 a 4096-draw block of B and of A is 800 KiB each,
+# so both stay in a 2 MiB L2 while a functional reads them. Measured on
+# 4-chunk estimators (one BLAS thread, Xeon with 2 MiB L2 per core), 4096
+# to 8192 draws was fastest at p = 2, 3, 5 and 10; 1024 cost 25-40% more
+# at p = 2 and 3, and 16384 cost 5-10% more at p = 5 and 10.
+_SUB_DRAWS = 4096
+# Scratch buffers above this many doubles (32 MiB) are allocated fresh
+# and not kept, so one large pilot or `sample` call is not retained.
+_SCRATCH_KEEP = 1 << 22
+_thread_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -147,27 +170,97 @@ class WishartModel:
         return WishartModel(self.alpha, self.sigma_block(i))
 
 
-def _sample_batch(model: WishartModel, gen: np.random.Generator, m: int) -> np.ndarray:
-    """m Bartlett factors A = L B as one (p, p, m) array.
+def _scratch(name: str, shape) -> np.ndarray:
+    """This thread's float64 buffer `name`, viewed as `shape`; contents undefined.
+
+    The buffer is kept for the next call with the same name on the same
+    thread, which overwrites it, so the view is valid only until then.
+    It grows to the largest request and is never shrunk; requests above
+    _SCRATCH_KEEP doubles get a fresh array that is not kept.
+    """
+    size = prod(shape)
+    if size > _SCRATCH_KEEP:
+        return np.empty(shape)
+    buf = getattr(_thread_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_thread_scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _sub_blocks(m: int) -> list[slice]:
+    """Consecutive slices of at most _SUB_DRAWS draws covering range(m)."""
+    return [slice(lo, min(lo + _SUB_DRAWS, m)) for lo in range(0, m, _SUB_DRAWS)]
+
+
+class FactorStream:
+    """m Bartlett factors A = L B, built from drawn variates one sub-block at a time.
+
+    Iterating yields ``(draws, A)``: a slice of draw indices and their
+    factors as a lower-triangular (p, p, w) array, draw index last. A is
+    per-thread scratch, overwritten by the next sub-block; the variates
+    are per-thread scratch too, valid until the next `_sample_batch` on
+    the same thread. `full` gathers every block into one fresh array.
+    """
+
+    def __init__(self, chol: np.ndarray, normals: np.ndarray, chi: np.ndarray):
+        self._chol = chol
+        self._normals = normals
+        self._chi = chi
+
+    @property
+    def m(self) -> int:
+        return self._chi.shape[1]
+
+    def __iter__(self):
+        L = self._chol
+        p = L.shape[0]
+        rows, cols = np.tril_indices(p, k=-1)
+        diag = np.arange(p)
+        for draws in _sub_blocks(self.m):
+            w = draws.stop - draws.start
+            B = _scratch("factor_b", (p, p, w))
+            B[cols, rows] = 0.0
+            B[rows, cols] = self._normals[draws].T
+            B[diag, diag] = self._chi[:, draws]
+            A = _scratch("factor_a", (p, p, w))
+            np.matmul(L, B.reshape(p, p * w), out=A.reshape(p, p * w))
+            yield draws, A
+
+    def full(self) -> np.ndarray:
+        """All m factors as one fresh (p, p, m) array."""
+        p = self._chol.shape[0]
+        out = np.empty((p, p, self.m))
+        for draws, A in self:
+            out[:, :, draws] = A
+        return out
+
+
+def _sample_batch(model: WishartModel, gen: np.random.Generator, m: int) -> FactorStream:
+    """The variates of m Bartlett factors A = L B, as a FactorStream.
 
     L is the Cholesky factor of the scale matrix and B lower triangular
     with standard normals below the diagonal and chi variables on it, so
     A is lower triangular and A[:, :, s] A[:, :, s]^T is the s-th
-    Wishart draw. The draw index is last (structure of arrays): every
-    entry is a contiguous (m,) row, and L B is one GEMM over all draws.
+    Wishart draw.
 
-    The generator is consumed in a fixed order (all subdiagonal normals,
-    then chi-square diagonals from the top left down), so a draw depends
-    only on the stream, never on surrounding code.
+    The generator is consumed here, in a fixed order: all subdiagonal
+    normals as an (m, p(p-1)/2) array in C order, then the chi-square
+    diagonals from the top left down, m at a time. A draw therefore
+    depends only on the stream, never on the sub-block size or on
+    surrounding code.
     """
     p = model.p
-    B = np.zeros((p, p, m))
-    rows, cols = np.tril_indices(p, k=-1)
-    if rows.size:
-        B[rows, cols] = gen.standard_normal((m, rows.size)).T
+    normals = _scratch("normals", (m, p * (p - 1) // 2))
+    if normals.size:
+        gen.standard_normal(out=normals)
+    chi = _scratch("chi", (p, m))
     for i in range(p):
-        B[i, i] = np.sqrt(gen.gamma((model.alpha - i) / 2.0, 2.0, size=m))
-    return (model._chol @ B.reshape(p, p * m)).reshape(p, p, m)
+        gen.standard_gamma((model.alpha - i) / 2.0, out=chi[i])
+    # Generator.gamma(k, 2.0) is 2.0 * standard_gamma(k), bit for bit
+    chi *= 2.0
+    np.sqrt(chi, out=chi)
+    return FactorStream(model._chol, normals, chi)
 
 
 def factor_gram(A: np.ndarray, rows: slice | None = None) -> np.ndarray:
@@ -261,10 +354,10 @@ def sample(model: WishartModel, rng: RngStream, size: int | None = None) -> np.n
     """Draw from the model; one (p, p) matrix, or (size, p, p) when size given."""
     gen = rng.generator()
     if size is None:
-        return factor_matrices(_sample_batch(model, gen, 1))[0]
+        return factor_matrices(_sample_batch(model, gen, 1).full())[0]
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return factor_matrices(_sample_batch(model, gen, int(size)))
+    return factor_matrices(_sample_batch(model, gen, int(size)).full())
 
 
 def log_density(model: WishartModel, X) -> float:

@@ -28,7 +28,13 @@ from wishartgpi.errors import (
     UpperBoundUnavailable,
 )
 from wishartgpi.linalg import BlockSpec
-from wishartgpi.montecarlo import ExponentVector, Finiteness, MCEstimate, finiteness_classify
+from wishartgpi.montecarlo import (
+    ExponentVector,
+    Finiteness,
+    MCEstimate,
+    StreamPlan,
+    finiteness_classify,
+)
 from wishartgpi.wishart import RngStream, WishartModel, minor_moment, random_correlation
 
 
@@ -555,22 +561,35 @@ def test_elliptical_zero_exponents_exact():
 def test_elliptical_one_active_coordinate_keeps_the_radial_anchor(monkeypatch):
     import wishartgpi.checks as checks
 
-    # one active coordinate: the sphere side is exactly 1 and takes no
-    # stream, so the radial estimator sits on the plan's first anchor
-    anchors = []
+    # one active coordinate: the sphere side is exactly 1, and so is Q_R,
+    # whose numerator and denominator are the same moment; neither side
+    # runs an estimator or takes a stream of the plan
+    calls = []
     original = checks.mc_mean
 
     def recording(draw, n, rng, workers=1, columns=None):
-        anchors.append((rng.seed, rng.stream_id))
+        calls.append((rng.seed, rng.stream_id))
         return original(draw, n, rng, workers, columns)
 
     monkeypatch.setattr(checks, "mc_mean", recording)
     A = np.linalg.cholesky(random_correlation(3, RngStream(1029, 9)))
     alphas, rspec = (0.0, 1.5, 0.0), RadialSpec("lognormal", mu=0.2, sigma=0.6)
-    v = elliptical_gpi_check(A, alphas, rspec, 2000, RngStream(1029, 4))
-    q = radial_moment_ratio(rspec, alphas, 3, 2000, RngStream(1029, 4))
-    assert anchors[0] == anchors[1] == (1029, 4 * 1024)
-    assert v.lhs == 1.0 and v.detail["q_r"] == q.mean and v.rhs_se == q.stderr
+    plan = StreamPlan(1029, 4 * 1024)
+    v = elliptical_gpi_check(A, alphas, rspec, 2000, plan)
+    q = radial_moment_ratio(rspec, alphas, 3, 2000, plan)
+    assert calls == [] and plan.allocated == 0
+    assert q.mean == 1.0 and q.stderr == 0.0 and q.n == 1
+    assert v.lhs == 1.0 and v.rhs == 1.0 and v.rhs_se == 0.0 and v.detail["q_r"] == 1.0
+    assert v.verdict == "Holds" and v.n == 1
+
+
+def test_elliptical_one_active_power_never_refuses_a_cancelled_moment():
+    # E R^3 with sigma = 4 is dominated by single draws, but it divides
+    # itself out: both sides are exactly 1 and nothing is sampled
+    v = elliptical_gpi_check(
+        np.eye(2), (0.0, 3.0), RadialSpec("lognormal", sigma=4.0), 5000, RngStream(3)
+    )
+    assert v.verdict == "Holds" and v.lhs == 1.0 and v.rhs == 1.0 and v.n == 1
 
 
 def test_elliptical_lognormal_heavy_tail_refused():

@@ -11,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wishartgpi.montecarlo import CHUNK_DRAWS
 from wishartgpi.wishart import (
+    _SUB_DRAWS,
+    RngStream,
     WishartModel,
     _sample_batch,
+    _sub_blocks,
     factor_eigvals,
     factor_gram,
     factor_logdet,
     factor_matrices,
+    sphere_batch,
 )
 
 EPS = np.finfo(float).eps
@@ -80,7 +85,7 @@ def test_factor_reproduces_batched_draws(p, excess):
     model = WishartModel(p - 1 + excess, sigma)
     seed = np.random.SeedSequence([p, int(10 * excess)])
     m = 700
-    A = _sample_batch(model, np.random.default_rng(seed), m)
+    A = _sample_batch(model, np.random.default_rng(seed), m).full()
     ref = batched_draws(model, np.random.default_rng(seed), m)
     assert A.shape == (p, p, m)
     upper = np.triu_indices(p, k=1)
@@ -96,10 +101,57 @@ def test_factor_reproduces_batched_draws(p, excess):
 
 def test_factor_gram_blocks_match_full_matrix():
     model = WishartModel(7.5, spectral_sigma([0.4, 1.0, 2.0, 3.0, 5.0], 1))
-    A = _sample_batch(model, np.random.default_rng(2), 50)
+    A = _sample_batch(model, np.random.default_rng(2), 50).full()
     X = factor_matrices(A)
     for rows in (slice(0, 2), slice(2, 3), slice(1, 5), slice(3, 5)):
         assert np.array_equal(factor_gram(A, rows).transpose(2, 0, 1), X[:, rows, rows])
+
+
+def one_gemm_factors(model, gen, m):
+    """The (p, p, m) factors from one L B product over all draws: the
+    reference the sub-block stream must match bit for bit."""
+    p = model.p
+    B = np.zeros((p, p, m))
+    rows, cols = np.tril_indices(p, k=-1)
+    if rows.size:
+        B[rows, cols] = gen.standard_normal((m, rows.size)).T
+    for i in range(p):
+        B[i, i] = np.sqrt(gen.gamma((model.alpha - i) / 2.0, 2.0, size=m))
+    return (model._chol @ B.reshape(p, p * m)).reshape(p, p, m)
+
+
+SUB_BLOCK_EDGES = [1, _SUB_DRAWS - 1, _SUB_DRAWS, _SUB_DRAWS + 1, 3 * _SUB_DRAWS + 17, CHUNK_DRAWS]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("m", SUB_BLOCK_EDGES)
+def test_factor_stream_matches_one_gemm_bit_for_bit(p, m):
+    # Sub-block GEMMs equal the one big GEMM only if the BLAS kernel sums
+    # each entry the same way whatever the matrix width; pin that here.
+    model = WishartModel(p + 0.7, spectral_sigma(np.linspace(0.5, 3.0, p), p))
+    gen, ref_gen = (RngStream(41, p).generator() for _ in range(2))
+    stream = _sample_batch(model, gen, m)
+    ref = one_gemm_factors(model, ref_gen, m)
+    # the generator is left exactly where the one-shot sampler leaves it
+    assert gen.random() == ref_gen.random()
+    start = 0
+    for draws, A in stream:
+        assert draws.start == start and 0 < draws.stop - start <= _SUB_DRAWS
+        assert np.array_equal(A, ref[:, :, draws])
+        start = draws.stop
+    assert start == m
+    assert np.array_equal(stream.full(), ref)
+
+
+@pytest.mark.parametrize("m", SUB_BLOCK_EDGES)
+def test_sphere_and_radial_normals_in_sub_blocks_equal_one_shot_draws(m):
+    one_shot = RngStream(43).generator()
+    sphere, radial = sphere_batch(one_shot, m, 3), one_shot.standard_normal(m)
+    gen = RngStream(43).generator()
+    blocks = _sub_blocks(m)
+    got_sphere = np.concatenate([sphere_batch(gen, d.stop - d.start, 3) for d in blocks])
+    got_radial = np.concatenate([gen.standard_normal(d.stop - d.start) for d in blocks])
+    assert np.array_equal(got_sphere, sphere) and np.array_equal(got_radial, radial)
 
 
 # ------------------------------------------------------------------ log-dets
@@ -116,7 +168,7 @@ def test_factor_logdet_agrees_with_slogdet(sizes, excess, spread, seed):
     p = sum(sizes)
     sigma = spectral_sigma(np.logspace(0.0, spread, p), seed)
     model = WishartModel(p - 1 + excess, sigma)
-    A = _sample_batch(model, np.random.default_rng(seed), 64)
+    A = _sample_batch(model, np.random.default_rng(seed), 64).full()
     X = factor_matrices(A)
     for rows in block_rows(sizes):
         got = factor_logdet(A, rows)
@@ -132,7 +184,7 @@ def test_factor_logdet_near_singular_2x2_falls_back(monkeypatch, gap):
     rho = 1.0 - gap
     sigma = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, rho], [0.3, rho, 1.0]])
     model = WishartModel(6.5, sigma)
-    A = _sample_batch(model, np.random.default_rng(3), 512)
+    A = _sample_batch(model, np.random.default_rng(3), 512).full()
     X = factor_matrices(A)
     seen = count_calls(monkeypatch, "slogdet")
     got = factor_logdet(A, slice(1, 3))
@@ -176,7 +228,7 @@ def test_factor_logdet_ill_conditioned_and_repeated(lam):
 def test_factor_eigvals_agree_with_eigvalsh(p, excess, spread, seed):
     sigma = spectral_sigma(np.logspace(0.0, spread, p), seed)
     model = WishartModel(p - 1 + excess, sigma)
-    A = _sample_batch(model, np.random.default_rng(seed), 64)
+    A = _sample_batch(model, np.random.default_rng(seed), 64).full()
     got = factor_eigvals(A)
     ref = np.linalg.eigvalsh(factor_matrices(A))[:, ::-1]
     assert got.shape == (64, p)
@@ -225,7 +277,7 @@ def test_factor_eigvals_small_p_closed_forms(monkeypatch):
 
 def test_factor_eigvals_p3_falls_back_only_where_guarded(monkeypatch):
     model = WishartModel(8.0, spectral_sigma([0.5, 1.0, 2.0], 6))
-    A = _sample_batch(model, np.random.default_rng(6), 4096)
+    A = _sample_batch(model, np.random.default_rng(6), 4096).full()
     seen = count_calls(monkeypatch, "eigvalsh")
     factor_eigvals(A)
     assert sum(seen) < 0.05 * 4096

@@ -419,6 +419,25 @@ def test_cli_parser_subcommands():
     assert args.suite == "proved"
 
 
+def test_cli_builds_its_parser_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    argv = ["moments", "--alpha", "6", "--p", "2", "--nu", "1"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0 and main(argv) == 0
+    assert built == []
+    # build_parser itself still builds a fresh tree
+    assert build_parser() is not build_parser()
+
+
 def test_cli_moments_exact(capsys):
     # E|X| for a 2x2 identity-scale model at alpha 6 is alpha(alpha-1) = 30
     code = main(["moments", "--alpha", "6", "--p", "2", "--nu", "1"])
