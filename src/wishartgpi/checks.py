@@ -22,7 +22,8 @@ candidates' verdicts, each recording its first n and z under
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import exp, gamma, hypot, inf, lgamma, log, prod
+from math import exp, gamma, hypot, inf, isfinite, lgamma, log, prod
+from numbers import Real
 
 import numpy as np
 
@@ -195,7 +196,7 @@ def verdict_from(
 
 
 def _mc_verdicts(
-    ineq: str, status: str, draw, k: int, sides, n: int, plan, workers: int, z_threshold: float
+    ineq: str, status: str, draw, k: int, sides, n: int, plan, z_threshold: float
 ) -> dict:
     """Every verdict of one check, keyed as `sides` keys them, from one estimator.
 
@@ -209,7 +210,7 @@ def _mc_verdicts(
 
     def once(n_eff):
         if k:
-            est = mc_mean(draw, n_eff, plan.allocate(), workers, columns=k)
+            est = mc_mean(draw, n_eff, plan.allocate(), columns=k)
         else:
             est = JointEstimate(np.zeros(0), np.zeros((0, 0)), n_eff)
         return {
@@ -330,7 +331,6 @@ def gpi_sandwich(
     splits,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
     bounds: tuple[str, ...] = ("lower", "upper"),
     override_finiteness: bool = False,
@@ -395,7 +395,7 @@ def gpi_sandwich(
                 out[k, "upper"] = ("<=", est.column(cols.index[0]), upper, None, detail)
         return out
 
-    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)
+    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold)
 
 
 def product_moment_conjecture_check(
@@ -403,7 +403,6 @@ def product_moment_conjecture_check(
     exps: ExponentVector,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
 ) -> InequalityVerdict:
     """E prod |X_ii|^{nu_i} >= prod E |X_ii|^{nu_i} for nonnegative powers.
@@ -426,7 +425,7 @@ def product_moment_conjecture_check(
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
+    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
 
 
 def tail_probability_conjecture_check(
@@ -435,7 +434,6 @@ def tail_probability_conjecture_check(
     splits,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
 ) -> dict[int, InequalityVerdict]:
     """P(all minors below thresholds) >= split product of group probabilities.
@@ -482,7 +480,7 @@ def tail_probability_conjecture_check(
         )
 
     try:
-        return _mc_verdicts("conj36", status, draw, len(groups), sides, n, plan, workers, z_threshold)
+        return _mc_verdicts("conj36", status, draw, len(groups), sides, n, plan, z_threshold)
     except DegenerateVariance:
         raise DegenerateEvent("event probability estimated at 0 or 1; thresholds degenerate") from None
 
@@ -493,7 +491,6 @@ def eigen_gpi_check(
     splits,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
     fns=None,
 ) -> dict[int, InequalityVerdict]:
@@ -558,7 +555,14 @@ def eigen_gpi_check(
             est, ks, index, lambda k: {"split": k, "variant": variant, "shared_splits": ks}
         )
 
-    return _mc_verdicts("eigen", "proved", draw, k_cols, sides, n, as_plan(rng), workers, z_threshold)
+    return _mc_verdicts("eigen", "proved", draw, k_cols, sides, n, as_plan(rng), z_threshold)
+
+
+def _finite_real(val, what: str) -> float:
+    # bool is an int subclass, but true is not the number 1 here.
+    if isinstance(val, bool) or not isinstance(val, Real) or not isfinite(val):
+        raise ValueError(f"{what} must be a finite real number, got {val!r}")
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -579,7 +583,7 @@ class BernsteinSpec:
         A.setflags(write=False)
         atoms = []
         for c, S in self.atoms:
-            c = float(c)
+            c = _finite_real(c, "atom weight")
             if c <= 0.0:
                 raise DomainError(f"atom weight must be positive, got {c}")
             S = as_symmetric(S)
@@ -619,7 +623,6 @@ def bernstein_pair_check(
     g: BernsteinSpec,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
 ) -> InequalityVerdict:
     """E f(X_11) g(X_22) >= E f(X*_11) E g(X*_22) on a two-block model.
@@ -649,7 +652,7 @@ def bernstein_pair_check(
         return {None: (">=", est.column(0), rhs, None, {})}
 
     k = 0 if constant else 1
-    return _mc_verdicts("bernstein", "proved", draw, k, sides, n, as_plan(rng), workers, z_threshold)[None]
+    return _mc_verdicts("bernstein", "proved", draw, k, sides, n, as_plan(rng), z_threshold)[None]
 
 
 def opposite_gpi_lower(
@@ -657,7 +660,6 @@ def opposite_gpi_lower(
     nus,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
     override_finiteness: bool = False,
 ) -> InequalityVerdict:
@@ -695,7 +697,7 @@ def opposite_gpi_lower(
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
+    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
 
 
 def opposite_gpi_upper(
@@ -703,7 +705,6 @@ def opposite_gpi_upper(
     nus,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
     override_finiteness: bool = False,
 ) -> InequalityVerdict:
@@ -729,7 +730,7 @@ def opposite_gpi_upper(
     def sides(est, _n):
         return {None: ("<=", *_split_sides(est, *cols.index, None, scale=upright), {})}
 
-    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), workers, z_threshold)[None]
+    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
 
 
 @dataclass(frozen=True)
@@ -749,6 +750,10 @@ class RadialSpec:
     def __post_init__(self):
         if self.kind not in ("chisq", "point", "lognormal"):
             raise ValueError(f"unknown radial kind {self.kind!r}")
+        for name in ("dof", "value", "mu", "sigma"):
+            val = getattr(self, name)
+            if val is not None or name in ("mu", "sigma"):
+                _finite_real(val, f"radial {name}")
         if self.kind == "chisq" and not (self.dof is None or self.dof > 0):
             raise ValueError("chisq dof must be positive")
         if self.kind == "point" and not (self.value is not None and self.value > 0):
@@ -768,7 +773,7 @@ class RadialSpec:
 
 
 def radial_moment_ratio(
-    rspec: RadialSpec, alphas, d: int, n: int = 0, rng=None, workers: int = 1
+    rspec: RadialSpec, alphas, d: int, n: int = 0, rng=None
 ) -> MCEstimate:
     """Q_R = prod_i E(R^{alpha_i}) / E(R^{alpha}), exact when the law allows.
 
@@ -807,7 +812,7 @@ def radial_moment_ratio(
         maxima.append(out.max(axis=1))
         return out.T
 
-    est = mc_mean(draw, n, as_plan(rng).allocate(), workers, columns=len(powers))
+    est = mc_mean(draw, n, as_plan(rng).allocate(), columns=len(powers))
     # Heavy-tail diagnostic: one draw carrying most of the sum means the
     # empirical moment cannot be trusted.
     top = np.max(maxima, axis=0)
@@ -862,7 +867,6 @@ def elliptical_gpi_check(
     rspec: RadialSpec,
     n: int,
     rng,
-    workers: int = 1,
     z_threshold: float = 3.0,
 ) -> InequalityVerdict:
     """Sphere-product ratio against the radial moment ratio.
@@ -905,11 +909,11 @@ def elliptical_gpi_check(
             for j in dens:
                 grad -= est.unit(j, ratio / est.mean[j])
             lhs = MCEstimate(float(ratio), est.stderr(grad), est.n)
-        q = radial_moment_ratio(rspec, alphas, d, n_eff, plan, workers)
+        q = radial_moment_ratio(rspec, alphas, d, n_eff, plan)
         if not q.mean <= 1.0 + 3.0 * q.stderr:
             raise ArithmeticError(f"Q_R = {q.mean} exceeds 1 beyond noise; radial spec broken")
         return {None: (">=", lhs, q, None, {"q_r": q.mean, "lhs_over_q": lhs.mean / q.mean})}
 
     # the sphere estimator draws only when two coordinates are active
     k = cols.k if len(active) > 1 else 0
-    return _mc_verdicts("elliptical", status, draw, k, sides, n, plan, workers, z_threshold)[None]
+    return _mc_verdicts("elliptical", status, draw, k, sides, n, plan, z_threshold)[None]

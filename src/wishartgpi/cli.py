@@ -45,7 +45,7 @@ def _load_config(path: str, override_finiteness: bool = False) -> ExperimentConf
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, override_finiteness=args.override_finiteness)
-    rows = run(config, workers=args.workers, override_finiteness=args.override_finiteness)
+    rows = run(config, override_finiteness=args.override_finiteness)
     csv_path, json_path = write_reports(config, rows)
     counts: dict[str, int] = {}
     for row in rows:
@@ -103,7 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a JSON-configured inequality sweep")
     p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p_run.add_argument("--workers", type=int, default=None, help="worker threads (default: config or 1)")
+    p_run.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for old scripts and ignored: chunks always run in order on one thread",
+    )
     p_run.add_argument(
         "--override-finiteness",
         action="store_true",

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from math import inf
+from math import inf, isfinite
 from typing import Callable
 
 import numpy as np
@@ -120,7 +120,6 @@ class ExperimentConfig:
     elliptical: dict | None = None
     t_blocks: list | None = None
     bound: str = "lower"
-    workers: int | None = None
     output_path: str | None = None
     override_finiteness: bool = False
     schema_version: int = SCHEMA_VERSION
@@ -156,8 +155,8 @@ def _need(raw: dict, key: str, kind, what: str, default=None):
         raise ConfigError(f"missing field {key!r} ({what})")
     val = raw[key]
     if kind is float:
-        if not _is_number(val):
-            raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+        if not (_is_number(val) and isfinite(val)):
+            raise ConfigError(f"field {key!r} must be a finite number, got {val!r}")
         return float(val)
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
@@ -175,7 +174,7 @@ class Kind:
     ``parse(raw, spec, alpha, override)`` validates the kind's fields and
     returns ``(params, fields)``: the typed parameters ``run`` reads from
     ``config.params`` and the config fields echoed to JSON.
-    ``run(c, s, splits, o, n=, rng=, workers=, z_threshold=)`` runs
+    ``run(c, s, splits, o, n=, rng=, z_threshold=)`` runs
     config c at scale matrix s for every split in `splits` (``[None]``
     for a kind without one) under finiteness override o, all splits from
     one shared estimator, and returns the verdicts keyed by (split,
@@ -302,7 +301,7 @@ def _parse_bernstein(raw, spec, alpha, override):
         if not isinstance(fraw, dict):
             raise ConfigError(f"bernstein.{which} must be an object")
         A = np.array(fraw.get("trace_offset", np.zeros((p, p))), dtype=float)
-        atoms = tuple((float(c), np.array(S, dtype=float)) for c, S in fraw.get("atoms", []))
+        atoms = tuple((c, np.array(S, dtype=float)) for c, S in fraw.get("atoms", []))
         try:
             pair.append(BernsteinSpec(A, atoms))
         except ValueError as err:
@@ -486,6 +485,7 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     except (ValueError, TypeError) as err:
         raise ConfigError(f"bad {ineq} field: {err}") from None
 
+    # Accepted for old documents; chunks always run on the calling thread.
     workers = raw.get("workers")
     if workers is not None and (
         not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
@@ -506,7 +506,6 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
         z_threshold=z_threshold,
         split=split,
         bound=raw.get("bound", "lower"),
-        workers=workers,
         output_path=output_path,
         override_finiteness=override,
         params=params,
@@ -601,26 +600,18 @@ def _detail_scrub(obj):
     return obj
 
 
-def run(
-    config: ExperimentConfig,
-    workers: int | None = None,
-    override_finiteness: bool = False,
-) -> list[ReportRow]:
+def run(config: ExperimentConfig, override_finiteness: bool = False) -> list[ReportRow]:
     """Execute one sweep: one row per (scale instance x split).
 
     The sandwich emits one row per configured bound side ('both' gives
     two). Each scale instance runs its kind once for all its splits:
     instance i draws from streams (seed, i*ROLE_STRIDE + j), the j-th
     estimator its check starts (a pilot, the shared estimator, a rerun),
-    so outputs are a function of (config, seed) only, independent of
-    worker count. Without `workers` or a config value, one worker runs
-    every chunk; more workers only cut wall time (README, determinism).
+    so outputs are a function of (config, seed) only. Every estimator
+    runs its chunks in order on the calling thread.
     """
     spec = BlockSpec(config.block_sizes)
     kind = KINDS[config.inequality_id]
-    eff_workers = workers if workers is not None else config.workers
-    if eff_workers is None:
-        eff_workers = 1
     override = override_finiteness or config.override_finiteness
     exponents = kind.column(config.params)
     if kind.top is None:
@@ -640,7 +631,7 @@ def run(
         verdicts = kind.run(
             config, sigma, list(splits), override,
             n=config.n_samples, rng=StreamPlan(config.seed, base=sigma_idx * ROLE_STRIDE),
-            workers=eff_workers, z_threshold=config.z_threshold,
+            z_threshold=config.z_threshold,
         )
         elapsed_ms = (time.perf_counter() - started) * 1e3
         for (split, suffix), verdict in verdicts.items():
@@ -797,7 +788,7 @@ def _mini_run(ineq: str, seed: int, **overrides) -> list[ReportRow]:
         "split": "all",
     }
     base.update(overrides)
-    return run(parse_config(base), workers=1)
+    return run(parse_config(base))
 
 
 def _suite_proved(log) -> list[tuple[str, bool, str]]:

@@ -1,9 +1,10 @@
 """Chunked, reproducible Monte Carlo estimation.
 
 Work is split into fixed-size chunks; chunk c of an estimator anchored at
-stream id b draws from the Philox stream (seed, b << 32 | c). Chunk
-means and co-moments are folded in chunk order, so the result is
-bit-identical for any worker count. An estimator may draw several
+stream id b draws from the Philox stream (seed, b << 32 | c). Chunks run
+in order on the calling thread, and each chunk's means and co-moments
+are folded in as soon as it is drawn, so the result is a function of
+(seed, anchor, n) alone. An estimator may draw several
 columns from one sample; their joint co-moments give the stderr of any
 smooth function of the column means by the delta method. A StreamPlan
 hands out anchor ids so that the estimators inside one experiment never
@@ -13,7 +14,6 @@ share a stream.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
@@ -160,19 +160,17 @@ def column_block(k: int, m: int) -> np.ndarray:
     return _scratch("columns", (k, m))
 
 
-def mc_mean(
-    draw_values, n: int, rng: RngStream, workers: int = 1, columns: int | None = None
-):
+def mc_mean(draw_values, n: int, rng: RngStream, columns: int | None = None):
     """Mean of ``draw_values(generator, m)`` over n draws, chunked and reproducible.
 
     `draw_values` must return an (m,) array and consume the generator in a
     deterministic order; the result is an MCEstimate. With ``columns=k``
     it returns an (m, k) array instead, and the result is a JointEstimate
     of the k means and their co-moments (no draws at all when k = 0).
-    The returned array need only stay valid until the callback's thread
-    draws again: the transposed view of a `column_block` is read in place.
-    A callback runs on a worker thread and must not itself call an
-    estimator or draw (the per-thread scratch would be overwritten).
+    Chunks run in order on the calling thread, and the returned array
+    need only stay valid until the next draw: the transposed view of a
+    `column_block` is read in place, so a callback must not itself call
+    an estimator or draw (the scratch would be overwritten).
     Chunk co-moments are merged with the pairwise update of Pebay
     (SAND2008-6212), which is the Chan et al. variance fold at k = 1.
     Raises DegenerateVariance when every draw of some column is identical
@@ -182,9 +180,8 @@ def mc_mean(
     k = 1 if columns is None else int(columns)
     if k == 0:
         return JointEstimate(np.zeros(0), np.zeros((0, 0)), int(n))
-
-    def one(spec):
-        c, m = spec
+    n_acc, mean_acc, c_acc = 0, np.zeros(k), np.zeros((k, k))
+    for c, m in layout:
         gen = _chunk_stream(rng, c).generator()
         v = np.asarray(draw_values(gen, m), dtype=float)
         want = (m,) if columns is None else (m, k)
@@ -193,22 +190,13 @@ def mc_mean(
         if not np.all(np.isfinite(v)):
             raise FloatingPointError("non-finite draw value in Monte Carlo chunk")
         rows = np.ascontiguousarray(v.reshape(m, k).T)
-        mean = rows.mean(axis=1)
-        dev = np.subtract(rows, mean[:, None], out=_scratch("deviations", (k, m)))
-        return m, mean, dev @ dev.T
-
-    if workers <= 1:
-        results = [one(spec) for spec in layout]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, layout))
-    # Pairwise combine, folded in fixed chunk order.
-    n_acc, mean_acc, c_acc = 0, np.zeros(k), np.zeros((k, k))
-    for nb, mb, cb in results:
+        mb = rows.mean(axis=1)
+        dev = np.subtract(rows, mb[:, None], out=_scratch("deviations", (k, m)))
+        # Pairwise combine with the running fold, in chunk order.
         delta = mb - mean_acc
-        tot = n_acc + nb
-        mean_acc = mean_acc + delta * nb / tot
-        c_acc = c_acc + (cb + np.outer(delta, delta) * n_acc * nb / tot)
+        tot = n_acc + m
+        mean_acc = mean_acc + delta * m / tot
+        c_acc = c_acc + (dev @ dev.T + np.outer(delta, delta) * n_acc * m / tot)
         n_acc = tot
     if n_acc >= 2 and np.any(np.diag(c_acc) == 0.0):
         raise DegenerateVariance("all Monte Carlo draws identical")
@@ -216,7 +204,7 @@ def mc_mean(
     return joint if columns is not None else joint.column(0)
 
 
-def mc_probability(draw_indicator, n: int, rng: RngStream, workers: int = 1) -> MCEstimate:
+def mc_probability(draw_indicator, n: int, rng: RngStream) -> MCEstimate:
     """Probability of an event, with the exact binomial stderr.
 
     ``draw_indicator(generator, m)`` returns an (m,) boolean array, the
@@ -224,7 +212,7 @@ def mc_probability(draw_indicator, n: int, rng: RngStream, workers: int = 1) -> 
     when the estimate is exactly 0 or 1.
     """
     try:
-        est = mc_mean(lambda gen, m: np.asarray(draw_indicator(gen, m), dtype=bool), n, rng, workers)
+        est = mc_mean(lambda gen, m: np.asarray(draw_indicator(gen, m), dtype=bool), n, rng)
     except DegenerateVariance:
         est = None
     if est is None or est.mean in (0.0, 1.0):
@@ -392,7 +380,6 @@ def mc_product_moment(
     n: int,
     rng: RngStream,
     subset=None,
-    workers: int = 1,
     override_finiteness: bool = False,
 ) -> MCEstimate:
     """Monte Carlo estimate of E prod_{i in subset} |X_ii|^(signs[i]*values[i]).
@@ -409,8 +396,6 @@ def mc_product_moment(
         Anchor stream; the estimator consumes the chunk family under it.
     subset : sequence of int, optional
         Block indices entering the product (default: all blocks).
-    workers : int
-        Thread count; never affects the result.
     override_finiteness : bool
         Allow estimation when finiteness is merely Unknown. Without it,
         anything short of FiniteGuaranteed raises InfiniteMoment.
@@ -422,4 +407,4 @@ def mc_product_moment(
     """
     subset = range(model.d) if subset is None else subset
     draw, cols = product_columns(model, exps, [subset], override_finiteness)
-    return mc_mean(draw, n, rng, workers, columns=cols.k).column(cols.index[0])
+    return mc_mean(draw, n, rng, columns=cols.k).column(cols.index[0])

@@ -360,7 +360,7 @@ def test_criterion_10_conjecture_checks_proved_and_open():
                 "seed": 321,
             }
         )
-        rows = run(open_conj11, workers=1)
+        rows = run(open_conj11)
         assert len(rows) == 4 and all(r.status == "open" for r in rows)
         open_conj36 = parse_config(
             {
@@ -373,7 +373,7 @@ def test_criterion_10_conjecture_checks_proved_and_open():
                 "seed": 322,
             }
         )
-        rows = run(open_conj36, workers=1)
+        rows = run(open_conj36)
         assert len(rows) == 2 and all(r.status == "open" for r in rows)
 
 

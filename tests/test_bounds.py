@@ -155,11 +155,13 @@ def test_jacobian_matches_lyapunov_determinant(p):
         matrix_square_jacobian(np.diag([-1.0] * p))
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # scipy costs more than the rest of the import; only the quadrature
-    # oracle uses it, and it loads it when called.
+# scipy costs more than the rest of the import; only the quadrature
+# oracle uses it, and it loads it when called. concurrent.futures (with
+# queue, logging and traceback) would cost 5-7 ms and nothing uses it.
+@pytest.mark.parametrize("prefix", ["scipy", "concurrent"])
+def test_package_import_leaves_scipy_unloaded(prefix):
     src = os.path.dirname(os.path.dirname(wishartgpi.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, wishartgpi, wishartgpi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"import sys, wishartgpi, wishartgpi.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -475,9 +475,9 @@ def test_radial_moment_ratio_is_one_estimator(monkeypatch):
     calls = []
     original = checks.mc_mean
 
-    def counting(draw, n, rng, workers=1, columns=None):
+    def counting(draw, n, rng, columns=None):
         calls.append(columns)
-        return original(draw, n, rng, workers, columns)
+        return original(draw, n, rng, columns)
 
     monkeypatch.setattr(checks, "mc_mean", counting)
     rspec = RadialSpec("lognormal", mu=0.0, sigma=0.5)
@@ -567,9 +567,9 @@ def test_elliptical_one_active_coordinate_keeps_the_radial_anchor(monkeypatch):
     calls = []
     original = checks.mc_mean
 
-    def recording(draw, n, rng, workers=1, columns=None):
+    def recording(draw, n, rng, columns=None):
         calls.append((rng.seed, rng.stream_id))
-        return original(draw, n, rng, workers, columns)
+        return original(draw, n, rng, columns)
 
     monkeypatch.setattr(checks, "mc_mean", recording)
     A = np.linalg.cholesky(random_correlation(3, RngStream(1029, 9)))
