@@ -12,11 +12,23 @@ sequence of splits reads every split off the same draws. Streams go out
 in call order (a calibration pilot, the estimator, then any rerun), so
 one scale matrix uses one plan whatever the number of splits.
 
-Rerun rule: a Violated verdict on a statement that is not proved is a
-candidate Monte Carlo false positive. The driver then runs the estimator
-once more at 10x the sample size on fresh streams and replaces only the
-candidates' verdicts, each recording its first n and z under
-``candidate_rerun``.
+Control variates: the sandwich, conj11, opp_lower and opp_upper add a
+column |X_ii|^(+-nu_i) for every block whose closed-form minor moment
+has a finite variance (`product_columns` with ``controls=True``), and
+the driver reads every side off `JointEstimate.controlled`, the same
+draws regressed on those exactly known means. Each such verdict records
+the control groups and the plain / controlled margin-variance ratio in
+its detail under ``controls``. The Bernstein check stays uncontrolled:
+with f(X_11) and g(X_22) as controls its residual is carried by rare
+draws whenever a functional is nearly constant, and the sample variance
+misses them.
+
+Rerun rule: any Violated verdict, proved or not, is a candidate Monte
+Carlo false positive. The driver then runs the estimator once more at
+10x the sample size on fresh streams and replaces only the candidates'
+verdicts, each recording its first n and z under ``candidate_rerun``. A
+proved statement is thus reported Violated only when two independent
+passes agree.
 """
 
 from __future__ import annotations
@@ -164,7 +176,7 @@ def verdict_from(
         raise ValueError(f"direction must be '>=' or '<=', got {direction!r}")
     a, b = _as_estimate(lhs), _as_estimate(rhs)
     margin = a.mean - b.mean if direction == ">=" else b.mean - a.mean
-    se = hypot(a.stderr, b.stderr) if margin_se is None else float(margin_se)
+    se = _margin_se(a, b, margin_se)
     if se == 0.0:
         tol = 1e-10 * max(1.0, abs(a.mean), abs(b.mean))
         ok = margin >= -tol
@@ -195,8 +207,16 @@ def verdict_from(
     )
 
 
+def _margin_se(lhs, rhs, margin_se) -> float:
+    # The stderr a verdict reads: margin_se when the sides share a sample,
+    # otherwise the pooled stderrs of independent sides.
+    if margin_se is not None:
+        return float(margin_se)
+    return hypot(_as_estimate(lhs).stderr, _as_estimate(rhs).stderr)
+
+
 def _mc_verdicts(
-    ineq: str, status: str, draw, k: int, sides, n: int, plan, z_threshold: float
+    ineq: str, status: str, draw, k: int, sides, n: int, plan, z_threshold: float, controls=None
 ) -> dict:
     """Every verdict of one check, keyed as `sides` keys them, from one estimator.
 
@@ -204,25 +224,40 @@ def _mc_verdicts(
     the JointEstimate of n draws to ``{key: (direction, lhs, rhs,
     margin_se, detail)}``, with margin_se None for independent sides. The
     estimator takes the next stream of `plan`; k = 0 draws nothing and
-    takes none. The rerun rule of the module docstring applies to the
-    Violated keys.
+    takes none. ``controls`` maps control columns to ``(blocks, exact
+    mean)``, as `product_columns` returns them: `sides` then reads
+    `JointEstimate.controlled`, and each detail records the control
+    groups (1-based blocks) and the plain / controlled margin-variance
+    ratio under ``controls``. The rerun rule of the module docstring
+    applies to the Violated keys.
     """
+    controls = controls or {}
+    means = {j: mu for j, (_, mu) in controls.items()}
+    groups = [[i + 1 for i in blocks] for blocks, _ in controls.values()]
 
     def once(n_eff):
         if k:
             est = mc_mean(draw, n_eff, plan.allocate(), columns=k)
         else:
             est = JointEstimate(np.zeros(0), np.zeros((0, 0)), n_eff)
+        got = sides(est.controlled(means), n_eff)
+        if means:
+            plain = sides(est, n_eff)
+            for key, (direction, lhs, rhs, margin_se, detail) in got.items():
+                was, se = _margin_se(*plain[key][1:4]), _margin_se(lhs, rhs, margin_se)
+                ratio = (was / se) ** 2 if se else (inf if was else 1.0)
+                detail = {**detail, "controls": {"groups": groups, "variance_ratio": ratio}}
+                got[key] = (direction, lhs, rhs, margin_se, detail)
         return {
             key: verdict_from(
                 lhs, rhs, direction, z_threshold, STATEMENTS[ineq], status, detail, margin_se
             )
-            for key, (direction, lhs, rhs, margin_se, detail) in sides(est, n_eff).items()
+            for key, (direction, lhs, rhs, margin_se, detail) in got.items()
         }
 
     first = once(int(n))
     candidates = [key for key, v in first.items() if v.verdict == "Violated"]
-    if not candidates or status == "proved":
+    if not candidates:
         return first
     confirm = once(10 * int(n))
     for key in candidates:
@@ -358,7 +393,7 @@ def gpi_sandwich(
     ks = _split_list(splits, model.d)
     lower = ks if "lower" in bounds else []
     groups = _joint_and_split_groups(model.d, lower)
-    draw, cols = product_columns(model, exps, groups, override_finiteness)
+    draw, cols, controls = product_columns(model, exps, groups, override_finiteness, controls=True)
     triples = _split_triples(cols.index, len(lower))
     upper = None
     if "upper" in bounds:
@@ -395,7 +430,7 @@ def gpi_sandwich(
                 out[k, "upper"] = ("<=", est.column(cols.index[0]), upper, None, detail)
         return out
 
-    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold)
+    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)
 
 
 def product_moment_conjecture_check(
@@ -419,13 +454,13 @@ def product_moment_conjecture_check(
     if model.d < 2:
         raise ValueError("need at least two blocks")
     status = proved_status("conj11", model.d, model.spec.sizes)
-    draw, cols = product_columns(model, exps, [range(model.d)])
+    draw, cols, controls = product_columns(model, exps, [range(model.d)], controls=True)
     rhs = exp(sum(log_minor_moment(model, i, v) for i, v in enumerate(exps.values)))
 
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
+    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
 
 
 def tail_probability_conjecture_check(
@@ -559,8 +594,13 @@ def eigen_gpi_check(
 
 
 def _finite_real(val, what: str) -> float:
-    # bool is an int subclass, but true is not the number 1 here.
-    if isinstance(val, bool) or not isinstance(val, Real) or not isfinite(val):
+    # bool is an int subclass, but true is not the number 1 here; an
+    # integer beyond the float range overflows isfinite.
+    try:
+        ok = not isinstance(val, bool) and isinstance(val, Real) and isfinite(val)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be a finite real number, got {val!r}")
     return float(val)
 
@@ -681,7 +721,7 @@ def opposite_gpi_lower(
     exps = ExponentVector.from_signed((-nus[0],) + nus[1:])
     # refuse before touching the closed form so infeasible exponents fail
     # the same way on both sides of the comparison
-    draw, cols = product_columns(model, exps, [range(model.d)], override_finiteness)
+    draw, cols, controls = product_columns(model, exps, [range(model.d)], override_finiteness, controls=True)
     status = proved_status("opp_lower", model.d, model.spec.sizes)
     log_rhs = log_minor_moment(model, 0, -nus[0])
     for i in range(1, model.d):
@@ -697,7 +737,7 @@ def opposite_gpi_lower(
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
+    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
 
 
 def opposite_gpi_upper(
@@ -722,15 +762,15 @@ def opposite_gpi_upper(
     if len(nus) != model.d or any(v <= 0 for v in nus):
         raise ValueError("need one positive magnitude per block")
     exps = ExponentVector.from_signed(tuple(-v for v in nus[:-1]) + (nus[-1],))
-    draw, cols = product_columns(
-        model, exps, [range(model.d), range(model.d - 1)], override_finiteness
+    draw, cols, controls = product_columns(
+        model, exps, [range(model.d), range(model.d - 1)], override_finiteness, controls=True
     )
     upright = exp(log_minor_moment(model, model.d - 1, nus[-1]))
 
     def sides(est, _n):
-        return {None: ("<=", *_split_sides(est, *cols.index, None, scale=upright), {})}
+        return {None: ("<=", *_split_sides(est, *cols.index[:2], None, scale=upright), {})}
 
-    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold)[None]
+    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
 
 
 @dataclass(frozen=True)

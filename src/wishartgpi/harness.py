@@ -144,8 +144,14 @@ class ExperimentConfig:
 
 
 def _is_number(val) -> bool:
-    # JSON numbers only: bool is an int subclass, but true is not 1.0 here.
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    # Finite JSON numbers only: bool is an int subclass, but true is not
+    # 1.0 here, and an integer beyond the float range is no usable number.
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _need(raw: dict, key: str, kind, what: str, default=None):
@@ -155,7 +161,7 @@ def _need(raw: dict, key: str, kind, what: str, default=None):
         raise ConfigError(f"missing field {key!r} ({what})")
     val = raw[key]
     if kind is float:
-        if not (_is_number(val) and isfinite(val)):
+        if not _is_number(val):
             raise ConfigError(f"field {key!r} must be a finite number, got {val!r}")
         return float(val)
     if kind is int:
@@ -304,7 +310,7 @@ def _parse_bernstein(raw, spec, alpha, override):
         atoms = tuple((c, np.array(S, dtype=float)) for c, S in fraw.get("atoms", []))
         try:
             pair.append(BernsteinSpec(A, atoms))
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise ConfigError(f"bernstein.{which}: {err}") from None
         if pair[-1].dim != p:
             raise ConfigError(f"bernstein.{which} has dimension {pair[-1].dim}, block needs {p}")
@@ -321,7 +327,7 @@ def _parse_elliptical(raw, spec, alpha, override):
     rraw = eraw.get("radial", {"kind": "chisq"})
     try:
         radial = RadialSpec(**rraw)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"elliptical.radial: {err}") from None
     return (tuple(float(a) for a in alphas), radial), {"elliptical": dict(eraw)}
 
@@ -425,6 +431,8 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     kind = KINDS[ineq]
     d = _need(raw, "d", int, "number of diagonal blocks")
     sizes = _need(raw, "block_sizes", list, "block sizes")
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in sizes):
+        raise ConfigError(f"block_sizes must be a list of integers, got {sizes!r}")
     try:
         spec = BlockSpec(tuple(sizes))
     except (ValueError, TypeError) as err:
@@ -448,7 +456,7 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     if source.get("kind") == "explicit":
         try:
             mat = np.array(source.get("matrix"), dtype=float)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ConfigError(f"sigma_source.matrix: {err}") from None
         if mat.shape != (spec.total, spec.total):
             raise ConfigError(f"sigma_source.matrix must be {spec.total}x{spec.total}, got {mat.shape}")
@@ -482,7 +490,7 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
         params, fields = kind.parse(raw, spec, alpha, override)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, OverflowError) as err:
         raise ConfigError(f"bad {ineq} field: {err}") from None
 
     # Accepted for old documents; chunks always run on the calling thread.
@@ -715,7 +723,11 @@ def _json_default(obj):
 
 
 def exit_code_for(rows: list[ReportRow]) -> int:
-    """0 normally, 2 when a proved inequality came back Violated."""
+    """0 normally, 2 when a proved inequality came back Violated.
+
+    Every Violated row has already been confirmed by its 10x rerun on
+    fresh streams, so exit 2 takes two independent Violated passes.
+    """
     bad = any(r.verdict == "Violated" and r.status == "proved" for r in rows)
     return 2 if bad else 0
 

@@ -209,9 +209,11 @@ def test_gpi_sandwich_zero_exponent_group_is_exact_one():
     m = WishartModel(7.0, corr2(0.4), BlockSpec((1, 1)))
     exps = ExponentVector((0.5, 0.0), (-1, -1))
     lower = gpi_sandwich(m, exps, (2,), 3000, RngStream(1030), bounds=("lower",))[2, "lower"]
-    # E[L * 1] >= E[L] * 1 is an identity, whatever the sample
+    # E[L * 1] >= E[L] * 1 is an identity, whatever the sample; L is a
+    # single block, so its control makes both sides its closed-form moment
     assert lower.verdict == "Holds" and lower.z == inf
-    assert lower.lhs == lower.rhs and lower.lhs_se > 0
+    assert lower.lhs == lower.rhs == minor_moment(m, 0, -0.5)
+    assert lower.lhs_se == lower.rhs_se == 0.0
 
 
 def test_gpi_sandwich_rejects_wrong_signs_and_window():
@@ -626,6 +628,35 @@ def test_split_z_is_calibrated_where_the_statement_is_an_equality():
         zs["opp_upper"].append(opposite_gpi_upper(m, (0.5, 1.0), n, RngStream(1102, s)).z)
     for kind, z in zs.items():
         assert 0.85 < np.std(z) < 1.15, f"{kind}: sd(z) = {np.std(z):.3f}"
+    z = np.concatenate(list(zs.values()))
+    rate = 2 * 0.0013499  # P(|N(0, 1)| > 3)
+    lo, hi = binom.ppf(5e-4, z.size, rate), binom.isf(5e-4, z.size, rate)
+    assert lo <= np.sum(np.abs(z) > 3) <= hi
+
+
+def test_controlled_z_is_calibrated_where_the_statement_is_an_equality():
+    # Block-diagonal scale matrix: conj11, opp_lower and opp_upper hold
+    # with equality, and every single-block control is in play, so the
+    # controlled z must still be standard normal.
+    from scipy.stats import binom
+
+    m = WishartModel(10.0, np.diag([1.0, 1.5]), BlockSpec((1, 1)))
+    # inverted powers stay in the guaranteed window at four times their size
+    quad = ExponentVector((2.0, 4.0), (-1, 1))
+    assert finiteness_classify(m.alpha, (1, 1), quad) is Finiteness.FINITE_GUARANTEED
+    seeds, n = 400, 2000
+    checks = {
+        "conj11": lambda rng: product_moment_conjecture_check(m, ExponentVector((0.7, 1.3), (1, 1)), n, rng),
+        "opp_lower": lambda rng: opposite_gpi_lower(m, (0.5, 1.0), n, rng),
+        "opp_upper": lambda rng: opposite_gpi_upper(m, (0.5, 1.0), n, rng),
+    }
+    zs = {}
+    for j, (kind, check) in enumerate(checks.items()):
+        verdicts = [check(RngStream(1103 + j, s)) for s in range(seeds)]
+        assert all(v.detail["controls"]["groups"] == [[1], [2]] for v in verdicts)
+        # the first pass's z, where a rerun replaced the row
+        zs[kind] = [v.detail.get("candidate_rerun", {"first_z": v.z})["first_z"] for v in verdicts]
+        assert 0.85 < np.std(zs[kind]) < 1.15, f"{kind}: sd(z) = {np.std(zs[kind]):.3f}"
     z = np.concatenate(list(zs.values()))
     rate = 2 * 0.0013499  # P(|N(0, 1)| > 3)
     lo, hi = binom.ppf(5e-4, z.size, rate), binom.isf(5e-4, z.size, rate)

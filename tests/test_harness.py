@@ -518,6 +518,10 @@ def kind_raw(ineq, **over):
     return raw
 
 
+# A JSON integer too large for a float.
+HUGE = 10**400
+
+
 def _cli_run(tmp_path, raw, *flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(raw, output_path=str(tmp_path / "out"))), encoding="utf-8")
@@ -596,6 +600,30 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
             kind_raw("bernstein", bernstein={"f": {"atoms": [[c, [[0.7]]]]}, "g": {"atoms": []}})
             for c in (float("nan"), float("inf"), True)
         ),
+        # block sizes are integers: no silent truncation, and true is not 1
+        sandwich_raw(block_sizes=[1.5, 1]),
+        sandwich_raw(block_sizes=[True, 1]),
+        # an integer beyond the float range, wherever a number is read
+        sandwich_raw(alpha=HUGE),
+        sandwich_raw(z_threshold=HUGE),
+        sandwich_raw(exponents={"values": [HUGE, 0.4], "signs": [-1, -1]}),
+        sandwich_raw(sigma_source={"kind": "explicit", "matrix": [[HUGE, 0.5], [0.5, 1.0]]}),
+        sandwich_raw(sigma_source={"kind": "random", "count": 1, "jitter": HUGE}),
+        kind_raw("conj36", thresholds=[HUGE, 1.0]),
+        kind_raw("lt_order", t_blocks=[[[HUGE]], [[0.5]]]),
+        kind_raw("elliptical", elliptical={"alphas": [HUGE, 1.0], "radial": {"kind": "chisq"}}),
+        *(
+            kind_raw("elliptical", elliptical={"alphas": [1.0, 1.0], "radial": radial})
+            for radial in (
+                {"kind": "lognormal", "mu": HUGE},
+                {"kind": "lognormal", "sigma": HUGE},
+                {"kind": "chisq", "dof": HUGE},
+                {"kind": "point", "value": HUGE},
+            )
+        ),
+        kind_raw("bernstein", bernstein={"f": {"atoms": [[HUGE, [[0.7]]]]}, "g": {"atoms": []}}),
+        kind_raw("bernstein", bernstein={"f": {"atoms": [[1.0, [[HUGE]]]]}, "g": {"atoms": []}}),
+        kind_raw("bernstein", bernstein={"f": {"trace_offset": [[HUGE]]}, "g": {"atoms": []}}),
     ],
 )
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):
@@ -755,15 +783,10 @@ def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch, ine
     rows = run(parse_config(raw))
     # the elliptical check draws its sphere estimator, then its radial one
     per_pass = 2 if ineq == "elliptical" else 1
-    if ineq in ("sandwich", "opp_upper", "eigen", "bernstein"):
-        assert {r.status for r in rows} == {"proved"}
-        assert estimators == [3000] * per_pass
-        assert [i for i, r in enumerate(rows) if r.verdict == "Violated"] == candidates
-        assert not any("candidate_rerun" in r.detail for r in rows)
-        assert exit_code_for(rows) == 2
-        return
-    assert rows[0].status in ("open", "conditional")
-    # one rerun at 10x n estimates every key again; only the candidate is replaced
+    proved = ineq in ("sandwich", "opp_upper", "eigen", "bernstein")
+    assert {r.status for r in rows} <= ({"proved"} if proved else {"open", "conditional"})
+    # proved or not, one rerun at 10x n estimates every key again; only
+    # the candidate is replaced
     assert estimators == [3000] * per_pass + [30000] * per_pass
     keys = len(verdicts) // 2
     assert verdicts == [3000] * keys + [30000] * keys
@@ -774,3 +797,46 @@ def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch, ine
         else:
             assert r.n == 3000 and "candidate_rerun" not in r.detail
     assert exit_code_for(rows) == 0
+
+
+@pytest.mark.parametrize("seed", [601, 1118, 2018, 2317])
+def test_proved_equality_violated_by_chance_reruns_and_exits_0(tmp_path, capsys, seed):
+    # A block-diagonal scale matrix makes the lower sandwich an equality,
+    # so its z is standard normal; at these seeds the first pass falls
+    # below -3, and the one rerun at 10x n on fresh streams clears it.
+    raw = sandwich_raw(
+        alpha=10.0, exponents={"values": [0.5, 0.5], "signs": [-1, -1]}, bound="lower",
+        sigma_source={"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.5]]},
+        n_samples=2000, seed=seed,
+    )
+    assert _cli_run(tmp_path, raw) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out.json", encoding="utf-8") as fh:
+        (row,) = json.load(fh)["rows"]
+    assert row["status"] == "proved" and row["n"] == 20000
+    assert row["detail"]["candidate_rerun"]["first_n"] == 2000
+    assert row["detail"]["candidate_rerun"]["first_z"] < -3
+
+
+@pytest.mark.parametrize("ineq", ["sandwich", "opp_upper", "eigen", "bernstein"])
+def test_proved_statement_violated_in_both_passes_exits_2(monkeypatch, ineq):
+    import wishartgpi.checks as checks
+
+    raw, nth, candidates = FORCED[ineq]
+    raw = dict(raw, n_samples=3000, sigma_source={"kind": "random", "count": 1})
+    seen = {}
+    original = checks.verdict_from
+
+    def forced(*args, **kwargs):
+        v = original(*args, **kwargs)
+        seen[v.n] = seen.get(v.n, 0) + 1
+        # the nth verdict of each pass comes back a decisive Violated
+        return replace(v, verdict="Violated", z=-100.0) if seen[v.n] == nth else v
+
+    monkeypatch.setattr(checks, "verdict_from", forced)
+    rows = run(parse_config(raw))
+    assert [i for i, r in enumerate(rows) if r.verdict == "Violated"] == candidates
+    for i in candidates:
+        assert rows[i].n == 30000 and rows[i].status == "proved"
+        assert rows[i].detail["candidate_rerun"] == {"first_n": 3000, "first_z": -100.0}
+    assert exit_code_for(rows) == 2

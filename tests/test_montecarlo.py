@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wishartgpi.errors import (
     DegenerateEvent,
@@ -14,6 +16,7 @@ from wishartgpi.montecarlo import (
     ROLE_STRIDE,
     ExponentVector,
     Finiteness,
+    JointEstimate,
     MCEstimate,
     StreamPlan,
     as_plan,
@@ -284,3 +287,101 @@ def test_chunked_product_moment_reuses_its_buffers():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert again == first
     assert faults < 256
+
+
+# ------------------------------------------------------------ control variates
+
+CONTROL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def joint_of(draws: np.ndarray) -> JointEstimate:
+    """The JointEstimate of an (n, k) array of draws, in one pass."""
+    dev = draws - draws.mean(axis=0)
+    return JointEstimate(draws.mean(axis=0), dev.T @ dev, len(draws))
+
+
+def mixed_columns(seed: int, k: int, n: int = 400) -> np.ndarray:
+    # correlated columns of mixed scale and skew
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((n, k)) @ gen.standard_normal((k, k))
+    return np.exp(0.3 * z) * gen.uniform(0.1, 10.0, size=k)
+
+
+control_cases = st.tuples(st.integers(2, 6), st.integers(0, 2**16)).flatmap(
+    lambda ks: st.tuples(
+        st.just(ks[0]), st.just(ks[1]),
+        st.sets(st.integers(0, ks[0] - 1), min_size=1, max_size=ks[0] - 1),
+    )
+)
+
+
+@CONTROL_SETTINGS
+@given(control_cases)
+def test_controlled_keeps_means_when_the_controls_sit_on_their_mean(case):
+    k, seed, cs = case
+    est = joint_of(mixed_columns(seed, k))
+    out = est.controlled({j: est.mean[j] for j in cs})
+    assert np.array_equal(out.mean, est.mean)
+
+
+@CONTROL_SETTINGS
+@given(control_cases)
+def test_controlled_residual_is_psd_and_below_the_plain_comoment(case):
+    k, seed, cs = case
+    est = joint_of(mixed_columns(seed, k))
+    out = est.controlled({j: 1.0 for j in cs})
+    scale = np.abs(est.comoment).max()
+    assert np.linalg.eigvalsh(out.comoment)[0] >= -1e-12 * scale
+    # the residual quadratic form is the minimum of the plain one over
+    # the control coordinates, so no gradient can gain variance
+    for g in np.random.default_rng(seed).standard_normal((20, k)):
+        assert g @ out.comoment @ g <= g @ est.comoment @ g + 1e-12 * scale * (g @ g)
+
+
+@CONTROL_SETTINGS
+@given(control_cases, st.floats(-5.0, 5.0))
+def test_controlled_control_columns_are_exact(case, mu):
+    k, seed, cs = case
+    est = joint_of(mixed_columns(seed, k))
+    out = est.controlled({j: mu + j for j in cs})
+    for j in cs:
+        col = out.column(j)
+        assert col.mean == mu + j and col.stderr == 0.0 and col.n == est.n
+        assert not out.comoment[j].any() and not out.comoment[:, j].any()
+
+
+def test_controlled_recovers_the_regression_slope():
+    gen = np.random.default_rng(71)
+    n, beta = 200_000, np.array([1.5, -0.7])
+    c = gen.gamma(3.0, size=(n, 2))
+    y = 2.0 + c @ beta + 0.1 * gen.standard_normal(n)
+    est = joint_of(np.column_stack((y, c)))
+    mu = est.mean[1:].copy()
+    # raising a control's exact mean by 1 raises Y's mean by its slope
+    for j, b in enumerate(beta):
+        shifted = mu.copy()
+        shifted[j] += 1.0
+        moved = est.controlled({1: shifted[0], 2: shifted[1]}).mean[0] - est.mean[0]
+        assert moved == pytest.approx(b, abs=5e-3)
+    # the residual is the noise alone
+    plain, controlled = est.column(0), est.controlled({1: 3.0, 2: 3.0}).column(0)
+    assert controlled.stderr == pytest.approx(0.1 / np.sqrt(n), rel=0.02)
+    assert plain.stderr > 10 * controlled.stderr
+    # a column that is exactly linear in the controls is exact too
+    exact = joint_of(np.column_stack((2.0 + c @ beta, c))).controlled({1: 3.0, 2: 3.0})
+    assert exact.column(0).stderr == 0.0
+    assert exact.column(0).mean == pytest.approx(2.0 + 3.0 * beta.sum(), rel=1e-12)
+
+
+def test_controlled_takes_duplicate_and_collinear_controls():
+    draws = mixed_columns(5, 3, n=2000)
+    c0 = draws[:, 1]
+    # a duplicate of a control, and an affine function of it
+    wide = np.column_stack((draws, c0, 2.0 * c0 + 1.0))
+    est = joint_of(wide)
+    mu = 1.1 * est.mean[1]
+    out = est.controlled({1: mu, 3: mu, 4: 2.0 * mu + 1.0})
+    once = joint_of(draws).controlled({1: mu})
+    assert np.all(np.isfinite(out.mean)) and np.all(np.isfinite(out.comoment))
+    assert out.mean[0] == pytest.approx(once.mean[0], rel=1e-9)
+    assert out.column(0).stderr == pytest.approx(once.column(0).stderr, rel=1e-6)
