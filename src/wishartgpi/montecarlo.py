@@ -104,9 +104,7 @@ class JointEstimate:
         Ybar - B (Cbar - mu) with B = S_YC S_CC^+, and its co-moments the
         residual S_YY - B S_CY. A control column comes back exactly mu with
         a zero row and column, so a function of control means alone has
-        stderr exactly 0, and so does a column the controls explain to
-        rounding (its residual variance at most 1e-12 of its plain one).
-        B is solved on the controls' correlation scale
+        stderr exactly 0. B is solved on the controls' correlation scale
         with a pseudo-inverse, so duplicate or collinear controls are
         harmless.
         """
@@ -124,10 +122,6 @@ class JointEstimate:
         mean[y] -= B @ (self.mean[c] - mu)
         mean[c] = mu
         residual = S[np.ix_(y, y)] - B @ S[np.ix_(c, y)]
-        # A column the controls explain to rounding is a linear function of
-        # them: its residual is cancellation noise, so it too is exact.
-        spanned = np.diag(residual) <= 1e-12 * np.diag(S)[y]
-        residual[spanned, :] = residual[:, spanned] = 0.0
         comoment = np.zeros_like(S)
         comoment[np.ix_(y, y)] = (residual + residual.T) / 2.0
         return JointEstimate(mean, comoment, self.n)
