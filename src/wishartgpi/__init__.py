@@ -41,6 +41,7 @@ from .wishart import (
     log_laplace_transform,
     log_minor_moment,
     minor_moment,
+    pair_moment,
     random_correlation,
     sample,
     sample_sphere,

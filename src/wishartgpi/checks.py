@@ -12,16 +12,22 @@ sequence of splits reads every split off the same draws. Streams go out
 in call order (a calibration pilot, the estimator, then any rerun), so
 one scale matrix uses one plan whatever the number of splits.
 
-Control variates: the sandwich, conj11, opp_lower and opp_upper add a
-column |X_ii|^(+-nu_i) for every block whose closed-form minor moment
-has a finite variance (`product_columns` with ``controls=True``), and
-the driver reads every side off `JointEstimate.controlled`, the same
-draws regressed on those exactly known means. Each such verdict records
-the control groups and the plain / controlled margin-variance ratio in
-its detail under ``controls``. The Bernstein check stays uncontrolled:
-with f(X_11) and g(X_22) as controls its residual is carried by rare
-draws whenever a functional is nearly constant, and the sample variance
-misses them.
+Control variates: the sandwich, conj11, opp_lower and opp_upper draw
+through `product_columns` with ``controls=True``. When an exponent is
+inverted, that estimator is tilted: it samples W(alpha - 2c, Sigma) and
+weights every column by K |X|^c, which leaves each mean unchanged and
+keeps inverse minors bounded. It adds a column for every single block
+and every pair of blocks with a 1x1 block whose closed-form moment
+(`pair_moment` for a pair) has a finite variance under that estimator,
+and the tilt weight, of mean exactly 1. The driver reads every side off
+`JointEstimate.controlled`, the same draws regressed on those exactly
+known means; each such verdict records the tilt c under ``tilt``, and
+the control groups and the plain / controlled margin-variance ratio
+under ``controls``. When every column is a control (two blocks, one of
+them 1x1), the verdict is exact and nothing is drawn. The Bernstein
+check stays uncontrolled: with f(X_11) and g(X_22) as controls its
+residual is carried by rare draws whenever a functional is nearly
+constant, and the sample variance misses them.
 
 Rerun rule: any Violated verdict, proved or not, is a candidate Monte
 Carlo false positive. The driver then runs the estimator once more at
@@ -216,7 +222,7 @@ def _margin_se(lhs, rhs, margin_se) -> float:
 
 
 def _mc_verdicts(
-    ineq: str, status: str, draw, k: int, sides, n: int, plan, z_threshold: float, controls=None
+    ineq: str, status: str, draw, k: int, sides, n: int, plan, z_threshold: float, product=None
 ) -> dict:
     """Every verdict of one check, keyed as `sides` keys them, from one estimator.
 
@@ -224,29 +230,35 @@ def _mc_verdicts(
     the JointEstimate of n draws to ``{key: (direction, lhs, rhs,
     margin_se, detail)}``, with margin_se None for independent sides. The
     estimator takes the next stream of `plan`; k = 0 draws nothing and
-    takes none. ``controls`` maps control columns to ``(blocks, exact
-    mean)``, as `product_columns` returns them: `sides` then reads
-    `JointEstimate.controlled`, and each detail records the control
-    groups (1-based blocks) and the plain / controlled margin-variance
-    ratio under ``controls``. The rerun rule of the module docstring
-    applies to the Violated keys.
+    takes none. `product`, the `ProductColumns` that `draw` and k come
+    from, brings control variates: `sides` then reads
+    `JointEstimate.controlled`, and each detail records the tilt c under
+    ``tilt`` and, under ``controls``, the control groups (1-based blocks;
+    [] is the tilt weight) and the plain / controlled margin-variance
+    ratio. When every column is a control, the sides are exact: nothing
+    is drawn, no stream is taken, and every side reads n = 1 and stderr
+    0. The rerun rule of the module docstring applies to the Violated
+    keys.
     """
-    controls = controls or {}
+    controls = product.controls if product is not None else {}
     means = {j: mu for j, (_, mu) in controls.items()}
     groups = [[i + 1 for i in blocks] for blocks, _ in controls.values()]
+    exact = k > 0 and len(means) == k
 
     def once(n_eff):
-        if k:
+        if exact:
+            est = JointEstimate(np.array([means[j] for j in range(k)]), np.zeros((k, k)), 1)
+        elif k:
             est = mc_mean(draw, n_eff, plan.allocate(), columns=k)
         else:
             est = JointEstimate(np.zeros(0), np.zeros((0, 0)), n_eff)
         got = sides(est.controlled(means), n_eff)
-        if means:
+        if product is not None:
             plain = sides(est, n_eff)
             for key, (direction, lhs, rhs, margin_se, detail) in got.items():
                 was, se = _margin_se(*plain[key][1:4]), _margin_se(lhs, rhs, margin_se)
                 ratio = (was / se) ** 2 if se else (inf if was else 1.0)
-                detail = {**detail, "controls": {"groups": groups, "variance_ratio": ratio}}
+                detail = {**detail, "tilt": product.tilt, "controls": {"groups": groups, "variance_ratio": ratio}}
                 got[key] = (direction, lhs, rhs, margin_se, detail)
         return {
             key: verdict_from(
@@ -393,7 +405,7 @@ def gpi_sandwich(
     ks = _split_list(splits, model.d)
     lower = ks if "lower" in bounds else []
     groups = _joint_and_split_groups(model.d, lower)
-    draw, cols, controls = product_columns(model, exps, groups, override_finiteness, controls=True)
+    cols = product_columns(model, exps, groups, override_finiteness, controls=True)
     triples = _split_triples(cols.index, len(lower))
     upper = None
     if "upper" in bounds:
@@ -430,7 +442,7 @@ def gpi_sandwich(
                 out[k, "upper"] = ("<=", est.column(cols.index[0]), upper, None, detail)
         return out
 
-    return _mc_verdicts("sandwich", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)
+    return _mc_verdicts("sandwich", "proved", cols.draw, cols.k, sides, n, as_plan(rng), z_threshold, cols)
 
 
 def product_moment_conjecture_check(
@@ -454,13 +466,13 @@ def product_moment_conjecture_check(
     if model.d < 2:
         raise ValueError("need at least two blocks")
     status = proved_status("conj11", model.d, model.spec.sizes)
-    draw, cols, controls = product_columns(model, exps, [range(model.d)], controls=True)
+    cols = product_columns(model, exps, [range(model.d)], controls=True)
     rhs = exp(sum(log_minor_moment(model, i, v) for i, v in enumerate(exps.values)))
 
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("conj11", status, draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
+    return _mc_verdicts("conj11", status, cols.draw, cols.k, sides, n, as_plan(rng), z_threshold, cols)[None]
 
 
 def tail_probability_conjecture_check(
@@ -721,7 +733,7 @@ def opposite_gpi_lower(
     exps = ExponentVector.from_signed((-nus[0],) + nus[1:])
     # refuse before touching the closed form so infeasible exponents fail
     # the same way on both sides of the comparison
-    draw, cols, controls = product_columns(model, exps, [range(model.d)], override_finiteness, controls=True)
+    cols = product_columns(model, exps, [range(model.d)], override_finiteness, controls=True)
     status = proved_status("opp_lower", model.d, model.spec.sizes)
     log_rhs = log_minor_moment(model, 0, -nus[0])
     for i in range(1, model.d):
@@ -737,7 +749,7 @@ def opposite_gpi_lower(
     def sides(est, _n):
         return {None: (">=", est.column(cols.index[0]), rhs, None, {})}
 
-    return _mc_verdicts("opp_lower", status, draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
+    return _mc_verdicts("opp_lower", status, cols.draw, cols.k, sides, n, as_plan(rng), z_threshold, cols)[None]
 
 
 def opposite_gpi_upper(
@@ -762,7 +774,7 @@ def opposite_gpi_upper(
     if len(nus) != model.d or any(v <= 0 for v in nus):
         raise ValueError("need one positive magnitude per block")
     exps = ExponentVector.from_signed(tuple(-v for v in nus[:-1]) + (nus[-1],))
-    draw, cols, controls = product_columns(
+    cols = product_columns(
         model, exps, [range(model.d), range(model.d - 1)], override_finiteness, controls=True
     )
     upright = exp(log_minor_moment(model, model.d - 1, nus[-1]))
@@ -770,7 +782,7 @@ def opposite_gpi_upper(
     def sides(est, _n):
         return {None: ("<=", *_split_sides(est, *cols.index[:2], None, scale=upright), {})}
 
-    return _mc_verdicts("opp_upper", "proved", draw, cols.k, sides, n, as_plan(rng), z_threshold, controls)[None]
+    return _mc_verdicts("opp_upper", "proved", cols.draw, cols.k, sides, n, as_plan(rng), z_threshold, cols)[None]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .bounds import integral_window
 from .errors import ConfigError
 from .linalg import BlockSpec, as_symmetric, direct_sum, is_positive_definite
 from .montecarlo import (
+    CHUNK_DRAWS,
     ExponentVector,
     Finiteness,
     ROLE_STRIDE,
@@ -49,7 +50,7 @@ from .checks import (
     tail_probability_conjecture_check,
     verdict_from,
 )
-from .wishart import RngStream, WishartModel, laplace_transform, random_correlation
+from .wishart import RngStream, WishartModel, laplace_transform, minor_moment, pair_moment, random_correlation
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,6 +72,11 @@ OUTPUT_DIR_ENV = "WISHARTGPI_OUTPUT_DIR"
 # Reserved stream namespace for drawing random scale matrices; the plan of
 # scale instance i sits at i * ROLE_STRIDE, far below this.
 _SIGMA_STREAM_BASE = 1 << 40
+# Caps that keep every stream id in range: a rerun draws 10 * n_samples,
+# whose chunk index must fit the 32 bits under its anchor, and the
+# anchors of `count` scale instances, count * ROLE_STRIDE, must fit in 32.
+N_SAMPLES_CAP = ((CHUNK_DRAWS << 32) - 1) // 10
+COUNT_CAP = ((1 << 32) - 1) // ROLE_STRIDE
 
 CSV_COLUMNS = (
     "experiment_id",
@@ -443,8 +449,8 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
     if not alpha > spec.total - 1:
         raise ConfigError(f"alpha must exceed p-1 = {spec.total - 1}, got {alpha}")
     n_samples = _need(raw, "n_samples", int, "Monte Carlo draws per estimate")
-    if n_samples < 2:
-        raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
+    if not 2 <= n_samples <= N_SAMPLES_CAP:
+        raise ConfigError(f"n_samples must lie in 2..{N_SAMPLES_CAP}, got {n_samples}")
     seed = _need(raw, "seed", int, "stream seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
@@ -468,8 +474,8 @@ def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConf
             raise ConfigError("sigma_source.matrix is not positive definite")
     elif source.get("kind") == "random":
         count = source.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError("sigma_source.random needs a positive integer 'count'")
+        if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= COUNT_CAP:
+            raise ConfigError(f"sigma_source.random needs an integer 'count' in 1..{COUNT_CAP}")
         if _need(source, "jitter", float, "diagonal jitter", 0.0) < 0:
             raise ConfigError("sigma_source.jitter must be a nonnegative number")
     else:
@@ -785,9 +791,38 @@ def _suite_oracles(log) -> list[tuple[str, bool, str]]:
     ok = worst < 1e-8
     results.append(("zonal normalization sum == (trace)^k", ok, f"worst rel {worst:.2e}"))
 
+    results.append(_pair_moment_oracle(gen))
+
     for name, ok_flag, detail in results:
         log(f"{'PASS' if ok_flag else 'FAIL'}  {name}  [{detail}]")
     return results
+
+
+def _pair_moment_oracle(gen) -> tuple[str, bool, str]:
+    # The two-block moment against scipy's 2F1 times the closed-form
+    # marginals: exponents of both signs, integer h (a terminating
+    # series), both orders of a 1x1 block, and rho^2 = 0.
+    from scipy.special import hyp2f1
+
+    worst = 0.0
+    for sizes in ((1, 1), (1, 2), (2, 1), (1, 3)):
+        spec = BlockSpec(sizes)
+        for case in range(8):
+            alpha = float(gen.uniform(spec.total + 3.0, spec.total + 9.0))
+            sigma = random_correlation(spec.total, RngStream(20240916, 10 * spec.total + case))
+            if case == 0:  # block-diagonal: rho^2 = 0
+                sigma = direct_sum(*(np.eye(p) for p in sizes))
+            model = WishartModel(alpha, sigma, spec)
+            # inverted powers keep a margin inside the finite window
+            his = [0.5 * (alpha - p + 1) - 0.6 for p in sizes]
+            h = 2.0 if case == 1 else float(gen.uniform(-his[0], 2.5))
+            k = float(gen.uniform(-his[1], 2.5))
+            s, o = (spec.range(0), spec.range(1)) if sizes[0] == 1 else (spec.range(1), spec.range(0))
+            cross = sigma[o, s][:, 0]
+            rho2 = float(cross @ np.linalg.solve(sigma[o, o], cross) / sigma[s, s][0, 0])
+            want = minor_moment(model, 0, h) * minor_moment(model, 1, k) * hyp2f1(-h, -k, alpha / 2.0, rho2)
+            worst = max(worst, abs(pair_moment(model, 0, 1, h, k) / want - 1.0))
+    return ("two-block moment == marginals x scipy 2F1", worst < 1e-12, f"worst rel {worst:.2e}")
 
 
 def _mini_run(ineq: str, seed: int, **overrides) -> list[ReportRow]:

@@ -10,6 +10,7 @@ wins over blocked algorithms throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class BlockSpec:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.sizes)]).astype(int))
+        return (0, *accumulate(self.sizes))
 
     def range(self, i: int) -> slice:
         """Index slice of block `i`; raises IndexOutOfRange outside 0..d-1."""

@@ -16,17 +16,28 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import exp, isfinite, sqrt
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateEvent, DegenerateVariance, InfiniteMoment
-from .wishart import RngStream, WishartModel, _sample_batch, _scratch, factor_logdet, log_minor_moment
+from .errors import CapExceeded, DegenerateEvent, DegenerateVariance, DomainError, InfiniteMoment
+from .wishart import (
+    RngStream,
+    WishartModel,
+    _sample_batch,
+    _scratch,
+    factor_logdet,
+    log_det_moment,
+    log_minor_moment,
+    pair_moment,
+)
 
 __all__ = [
     "CHUNK_DRAWS",
     "MCEstimate",
     "JointEstimate",
     "PowerProducts",
+    "ProductColumns",
     "StreamPlan",
     "ExponentVector",
     "column_block",
@@ -40,6 +51,9 @@ __all__ = [
 
 CHUNK_DRAWS = 65536
 _BLOCK_SHIFT = 32
+# The tilt c stays below this share of (alpha - p + 1)/2, where
+# E_alpha |X|^-c, and with it the tilt weight's variance, diverges.
+_TILT_CAP = 0.9
 
 
 @dataclass(frozen=True)
@@ -326,10 +340,12 @@ class PowerProducts:
 
     ``index[g]`` is the column of the g-th group, or None when all its
     powers are zero: that product is the exact constant 1. Groups with
-    the same nonzero powers share a column.
+    the same nonzero powers share a column. With `weight`, one more
+    column, ``weight``, holds the bare shift that `columns` adds to
+    every product in log space.
     """
 
-    def __init__(self, powers, groups):
+    def __init__(self, powers, groups, weight: bool = False):
         self.supports: list[tuple[tuple[int, float], ...]] = []
         self.index: list[int | None] = []
         for g in groups:
@@ -337,6 +353,10 @@ class PowerProducts:
             if support and support not in self.supports:
                 self.supports.append(support)
             self.index.append(self.supports.index(support) if support else None)
+        self.weight = None
+        if weight:
+            self.weight = len(self.supports)
+            self.supports.append(())
 
     @property
     def k(self) -> int:
@@ -347,17 +367,66 @@ class PowerProducts:
         """Indices that enter some column."""
         return sorted({i for support in self.supports for i, _ in support})
 
-    def columns(self, logs, out: np.ndarray) -> None:
+    def columns(self, logs, out: np.ndarray, shift=None) -> None:
         """Write the k products into the rows of `out`, a (k, w) block.
 
         ``logs[i]`` is the (w,) array of log x_i for each i in `used`. Each
-        product is accumulated in log space and exponentiated once, in place.
+        product is accumulated in log space, starting from the (w,) log
+        factor `shift` when given, and exponentiated once, in place.
         """
         for row, support in zip(out, self.supports):
-            row.fill(0.0)
+            if shift is None:
+                row.fill(0.0)
+            else:
+                row[:] = shift
             for i, power in support:
                 row += power * logs[i]
             np.exp(row, out=row)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductColumns:
+    """The draw callback of `product_columns` and how to read its columns.
+
+    ``draw(generator, m)`` returns an (m, k) array; ``index[g]`` is the
+    column of the g-th requested group (None: the exact constant 1);
+    ``controls`` maps control columns to ``(blocks, exact mean)``, with
+    blocks () for the tilt weight; ``tilt`` is the c of the sampler
+    W(alpha - 2c, Sigma), 0 for the plain estimator.
+    """
+
+    draw: Callable
+    k: int
+    index: list
+    controls: dict
+    tilt: float
+
+
+def _known_mean(model: WishartModel, exps: ExponentVector, blocks, tilt: float):
+    """Exact mean of the product over `blocks` when it may serve as a control.
+
+    It must have a closed form (one block, or a pair with a 1x1 block), and
+    its mean and its second moment under the estimator that runs must be
+    FiniteGuaranteed. That
+    estimator's column is K |X|^c prod |X_ii|^h_i under W(alpha - 2c), so
+    its second moment is a constant times E_alpha |X|^c prod |X_ii|^(2 h_i),
+    which Fischer's inequality |X| <= prod |X_ii| bounds by the product
+    with powers 2 h_i + c on the group's blocks and c on the rest.
+    Returns None otherwise.
+    """
+    h = [exps.signed[i] if i in blocks else 0.0 for i in range(model.d)]
+    second = [2.0 * h[i] + tilt for i in range(model.d)]
+    for powers in (h, second):
+        moment = ExponentVector.from_signed(powers)
+        if finiteness_classify(model.alpha, model.spec.sizes, moment) is not Finiteness.FINITE_GUARANTEED:
+            return None
+    if len(blocks) == 1:
+        return exp(log_minor_moment(model, blocks[0], h[blocks[0]]))
+    i, j = blocks
+    try:
+        return pair_moment(model, i, j, h[i], h[j])
+    except (DomainError, CapExceeded):
+        return None
 
 
 def product_columns(
@@ -366,37 +435,35 @@ def product_columns(
     groups,
     override_finiteness: bool = False,
     controls: bool = False,
-):
+) -> ProductColumns:
     """Draw callback for the product moments of several block groups at once.
 
-    Returns ``(draw, cols, controls)``: ``draw(generator, m)`` samples m
-    Bartlett factors once, reads one log-determinant per block off each
-    factor sub-block (`factor_logdet`), and returns the (m, cols.k) view
-    of a `column_block` holding prod_{i in group} |X_ii|^(signs[i]*values[i])
-    over the distinct groups; ``cols.index`` maps each group to its column.
-    Every group is classified for finiteness on its own, and anything
-    short of FiniteGuaranteed raises InfiniteMoment unless
+    ``draw(generator, m)`` samples m Bartlett factors once, reads one
+    log-determinant per block off each factor sub-block (`factor_logdet`),
+    and returns the (m, k) view of a `column_block` holding
+    prod_{i in group} |X_ii|^(signs[i]*values[i]) over the distinct
+    groups. Every group is classified for finiteness on its own, and
+    anything short of FiniteGuaranteed raises InfiniteMoment unless
     `override_finiteness` allows Unknown.
 
-    With `controls`, every single block whose power and doubled power
-    are both FiniteGuaranteed (the column has a finite variance) is
-    appended as a group, shared with an identical group already asked
-    for, and the returned ``controls`` maps its column to ``((block,),
-    closed-form minor moment)``, the control variates `_mc_verdicts` in
-    `checks` takes. Otherwise ``controls`` is empty.
+    Tilt: when a block the groups use enters inverted, the draws come
+    from W(alpha - 2c, Sigma) with c the largest inverted magnitude, kept
+    below _TILT_CAP (alpha - p + 1)/2, and every column is multiplied by
+    K |X|^c with K = E_alpha |X|^-c, in log space (log |X| comes off the
+    factor's diagonal). Since E_alpha f = K E_{alpha - 2c} f |X|^c, each
+    column keeps its mean, and Fischer's inequality keeps
+    prod |X_ii|^(-nu_i) |X|^c bounded as a block goes singular.
+
+    With `controls`, every single block and every pair of blocks with a
+    1x1 block whose exact mean qualifies (`_known_mean`) is appended as a
+    group, shared with an identical group already asked for, and so is
+    the tilt weight K |X|^c, whose mean is exactly 1; ``controls`` of the
+    result maps their columns to their exact means, the control variates
+    `_mc_verdicts` in `checks` takes. Otherwise it is empty.
     """
     if exps.d != model.d:
         raise ValueError(f"exponents cover {exps.d} blocks, model has {model.d}")
     groups = [tuple(int(i) for i in g) for g in groups]
-    singles = []
-    for i in range(model.d) if controls else ():
-        if exps.signed[i] == 0.0:
-            continue
-        p = [model.spec.sizes[i]]
-        one = ExponentVector((exps.values[i],), (exps.signs[i],))
-        two = ExponentVector((2.0 * exps.values[i],), (exps.signs[i],))
-        if all(finiteness_classify(model.alpha, p, e) is Finiteness.FINITE_GUARANTEED for e in (one, two)):
-            singles.append(i)
     for g in groups:
         if len(set(g)) != len(g):
             raise ValueError(f"subset has repeated blocks: {g}")
@@ -412,20 +479,35 @@ def product_columns(
             raise InfiniteMoment(
                 "product moment not guaranteed finite; pass override_finiteness=True to force"
             )
-    cols = PowerProducts(exps.signed, groups + [(i,) for i in singles])
-    controls = {
-        cols.index[len(groups) + j]: ((i,), exp(log_minor_moment(model, i, exps.signed[i])))
-        for j, i in enumerate(singles)
-    }
+    inverted = [-exps.signed[i] for g in groups for i in g if exps.signed[i] < 0.0]
+    tilt = min(max(inverted), _TILT_CAP * (model.alpha - model.p + 1) / 2.0) if inverted else 0.0
+    known = {}
+    if controls:
+        nonzero = [i for i in range(model.d) if exps.signed[i] != 0.0]
+        sizes = model.spec.sizes
+        pairs = [(i, j) for i in nonzero for j in nonzero if i < j and 1 in (sizes[i], sizes[j])]
+        for blocks in [(i,) for i in nonzero] + pairs:
+            mu = _known_mean(model, exps, blocks, tilt)
+            if mu is not None:
+                known[blocks] = mu
+    cols = PowerProducts(exps.signed, groups + list(known), weight=bool(controls and tilt))
+    means = {cols.index[len(groups) + j]: (blocks, mu) for j, (blocks, mu) in enumerate(known.items())}
+    if cols.weight is not None:
+        means[cols.weight] = ((), 1.0)
     slices = {i: model.spec.range(i) for i in cols.used}
+    sampler, log_k, full = model, 0.0, slice(0, model.p)
+    if tilt:
+        sampler = WishartModel(model.alpha - 2.0 * tilt, model.sigma, model.spec)
+        log_k = log_det_moment(model.alpha, model.p, model._logdet_sigma, -tilt)
 
     def draw(gen, m):
         out = column_block(cols.k, m)
-        for draws, A in _sample_batch(model, gen, m):
-            cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, out[:, draws])
+        for draws, A in _sample_batch(sampler, gen, m):
+            shift = log_k + tilt * factor_logdet(A, full) if tilt else None
+            cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, out[:, draws], shift)
         return out.T
 
-    return draw, cols, controls
+    return ProductColumns(draw, cols.k, cols.index, means, tilt)
 
 
 def mc_product_moment(
@@ -456,9 +538,10 @@ def mc_product_moment(
 
     Notes
     -----
-    This is the one-group case of `product_columns`; an all-zero
-    exponent product is the exact constant 1 and draws nothing.
+    This is the one-group case of `product_columns`, uncontrolled and
+    tilted when an exponent is inverted; an all-zero exponent product is
+    the exact constant 1 and draws nothing.
     """
     subset = range(model.d) if subset is None else subset
-    draw, cols, _ = product_columns(model, exps, [subset], override_finiteness)
-    return mc_mean(draw, n, rng, columns=cols.k).column(cols.index[0])
+    cols = product_columns(model, exps, [subset], override_finiteness)
+    return mc_mean(cols.draw, n, rng, columns=cols.k).column(cols.index[0])

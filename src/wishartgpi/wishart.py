@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite
 from .linalg import BlockSpec, as_symmetric, block_view, is_positive_definite, sqrt_pd
-from .special import log_mvgamma
+from .special import hyp2f1_series, log_mvgamma
 
 __all__ = [
     "RngStream",
@@ -59,6 +59,7 @@ __all__ = [
     "log_laplace_transform",
     "minor_moment",
     "log_minor_moment",
+    "pair_moment",
     "log_det_moment",
     "random_correlation",
     "sample_sphere",
@@ -436,6 +437,31 @@ def log_minor_moment(model: WishartModel, i: int, nu: float) -> float:
 def minor_moment(model: WishartModel, i: int, nu: float) -> float:
     """E(|X_ii|^nu): closed-form moment of a principal minor determinant."""
     return exp(log_minor_moment(model, i, nu))
+
+
+def pair_moment(model: WishartModel, i: int, j: int, h: float, k: float) -> float:
+    """E(|X_ii|^h |X_jj|^k) for two diagonal blocks, at least one of them 1x1.
+
+    With s the 1x1 block and o the other, rho^2 = Sigma_so Sigma_oo^-1
+    Sigma_os / Sigma_ss is the squared multiple correlation, and
+
+        E|X_ii|^h |X_jj|^k = E|X_ii|^h * E|X_jj|^k * 2F1(-h, -k; alpha/2; rho^2)
+
+    (Constantine, Ann. Math. Statist. 34, 1963; Muirhead 1982, Ch. 7):
+    given X_oo, X_ss is a scaled noncentral chi-square, weighting by
+    |X_oo|^k turns W(alpha) into W(alpha + 2k), and a Pfaff transformation
+    leaves the scalar series, summed by `hyp2f1_series`. Raises
+    DomainError when neither block is 1x1 or a marginal moment diverges,
+    and CapExceeded when the series does not converge within its cap.
+    """
+    sizes = model.spec.sizes
+    if i == j or 1 not in (sizes[i], sizes[j]):
+        raise DomainError(f"pair moment needs two distinct blocks, one of them 1x1; got {i}, {j}")
+    s, o = (i, j) if sizes[i] == 1 else (j, i)
+    cross = block_view(model.sigma, model.spec, o, s)[:, 0]
+    rho2 = float(cross @ np.linalg.solve(model.sigma_block(o), cross)) / float(model.sigma_block(s)[0, 0])
+    series = hyp2f1_series(-h, -k, model.alpha / 2.0, max(rho2, 0.0))
+    return exp(log_minor_moment(model, i, h) + log_minor_moment(model, j, k)) * series
 
 
 def random_correlation(p: int, rng: RngStream, jitter: float = 1e-6) -> np.ndarray:

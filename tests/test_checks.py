@@ -34,8 +34,9 @@ from wishartgpi.montecarlo import (
     MCEstimate,
     StreamPlan,
     finiteness_classify,
+    mc_product_moment,
 )
-from wishartgpi.wishart import RngStream, WishartModel, minor_moment, random_correlation
+from wishartgpi.wishart import RngStream, WishartModel, minor_moment, pair_moment, random_correlation
 
 
 def corr2(rho):
@@ -197,12 +198,16 @@ def test_gpi_sandwich_holds_and_detail():
 
 
 def test_gpi_sandwich_block_diagonal_is_tight():
+    # independent blocks: the two sides are the same number, exact at
+    # blocks (1, 1) and estimated from one sample at (1, 1, 1)
     m = WishartModel(7.0, np.eye(2), BlockSpec((1, 1)))
     exps = ExponentVector((0.5, 0.5), (-1, -1))
-    out = gpi_sandwich(m, exps, (2,), 40000, RngStream(1002), bounds=("lower",))
-    v = out[2, "lower"]
-    # independent blocks: the two sides estimate the same number
-    assert abs(v.z) < 4.0
+    v = gpi_sandwich(m, exps, (2,), 40000, RngStream(1002), bounds=("lower",))[2, "lower"]
+    assert v.verdict == "Holds" and v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
+    m3 = WishartModel(7.0, np.eye(3), BlockSpec((1, 1, 1)))
+    exps3 = ExponentVector((0.5, 0.5, 0.5), (-1, -1, -1))
+    v3 = gpi_sandwich(m3, exps3, (2,), 40000, RngStream(1002), bounds=("lower",))[2, "lower"]
+    assert v3.n == 40000 and abs(v3.z) < 4.0
 
 
 def test_gpi_sandwich_zero_exponent_group_is_exact_one():
@@ -235,7 +240,9 @@ def test_product_moment_check_block_diagonal_and_open_status():
     v = product_moment_conjecture_check(
         m2, ExponentVector((0.7, 1.1), (1, 1)), 30000, RngStream(1003)
     )
-    assert v.status == "proved" and abs(v.z) < 4
+    # blocks (2, 1): the joint moment is the exact pair moment, here the
+    # product of the marginals
+    assert v.status == "proved" and v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
     m3 = WishartModel(5.0, random_correlation(3, RngStream(52)), BlockSpec((1, 1, 1)))
     v3 = product_moment_conjecture_check(
         m3, ExponentVector((0.5, 0.5, 0.5), (1, 1, 1)), 30000, RngStream(1004)
@@ -429,9 +436,13 @@ def test_opposite_upper_holds_and_direction():
 
 
 def test_opposite_upper_block_diagonal_centered():
+    # blocks (2, 1) are an exact row; (2, 2) has no 1x1 block and draws
     m = WishartModel(9.0, np.eye(3), BlockSpec((2, 1)))
     v = opposite_gpi_upper(m, (1.0, 1.2), 50000, RngStream(1020))
-    assert abs(v.z) < 4.0
+    assert v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
+    m4 = WishartModel(9.0, np.eye(4), BlockSpec((2, 2)))
+    v4 = opposite_gpi_upper(m4, (1.0, 1.2), 50000, RngStream(1020))
+    assert v4.n == 50000 and abs(v4.z) < 4.0
 
 
 # ---------------------------------------------------------------- elliptical
@@ -605,28 +616,19 @@ def test_elliptical_lognormal_heavy_tail_refused():
 # ---------------------------------------------------------------- calibration
 
 
-def test_split_z_is_calibrated_where_the_statement_is_an_equality():
-    # Scale matrix block-diagonal across the split: the blocks are
-    # independent, every split statement below holds with equality, and
-    # its z must be standard normal.
+def _first_z(v) -> float:
+    # the first pass's z, where a rerun replaced the row
+    return v.detail.get("candidate_rerun", {"first_z": v.z})["first_z"]
+
+
+def _assert_exact(v):
+    # two blocks, one of them 1x1: every column has a closed-form mean
+    assert v.n == 1 and v.lhs_se == v.rhs_se == 0.0 and abs(v.z) == inf
+
+
+def _assert_calibrated(zs: dict):
     from scipy.stats import binom
 
-    m = WishartModel(10.0, np.diag([1.0, 1.5]), BlockSpec((1, 1)))
-    inverted = ExponentVector((0.5, 0.5), (-1, -1))
-    # the fourth moment is finite, so the sample variance behind z is steady
-    quad = ExponentVector(tuple(4 * v for v in inverted.values), inverted.signs)
-    assert finiteness_classify(m.alpha, (1, 1), quad) is Finiteness.FINITE_GUARANTEED
-    seeds, n = 400, 2000
-    zs = {"sandwich": [], "conj36": [], "opp_upper": []}
-    for s in range(seeds):
-        verdicts = {
-            "sandwich": gpi_sandwich(m, inverted, (2,), n, RngStream(1100, s), bounds=("lower",))[2, "lower"],
-            "conj36": tail_probability_conjecture_check(m, (9.3, 14.0), (2,), n, RngStream(1101, s))[2],
-            "opp_upper": opposite_gpi_upper(m, (0.5, 1.0), n, RngStream(1102, s)),
-        }
-        for kind, v in verdicts.items():
-            # the first pass's z, where a rerun replaced the row
-            zs[kind].append(v.detail.get("candidate_rerun", {"first_z": v.z})["first_z"])
     for kind, z in zs.items():
         assert 0.85 < np.std(z) < 1.15, f"{kind}: sd(z) = {np.std(z):.3f}"
     z = np.concatenate(list(zs.values()))
@@ -635,32 +637,78 @@ def test_split_z_is_calibrated_where_the_statement_is_an_equality():
     assert lo <= np.sum(np.abs(z) > 3) <= hi
 
 
+def test_split_z_is_calibrated_where_the_statement_is_an_equality():
+    # Scale matrix block-diagonal across the split: the blocks are
+    # independent, every split statement below holds with equality, and
+    # its z must be standard normal. At blocks (1, 1) the sandwich and
+    # opp_upper are exact rows, so they run at (1, 1, 1), where the tilt
+    # and the pair controls are in play.
+    m = WishartModel(10.0, np.diag([1.0, 1.5]), BlockSpec((1, 1)))
+    m3 = WishartModel(10.0, np.diag([1.0, 1.5, 0.8]), BlockSpec((1, 1, 1)))
+    inverted = ExponentVector((0.5, 0.5), (-1, -1))
+    inverted3 = ExponentVector((0.5, 0.5, 0.5), (-1, -1, -1))
+    _assert_exact(gpi_sandwich(m, inverted, (2,), 2000, RngStream(1100, 0), bounds=("lower",))[2, "lower"])
+    _assert_exact(opposite_gpi_upper(m, (0.5, 1.0), 2000, RngStream(1102, 0)))
+    # the fourth moment is finite, so the sample variance behind z is steady
+    quad = ExponentVector(tuple(4 * v for v in inverted3.values), inverted3.signs)
+    assert finiteness_classify(m3.alpha, (1, 1, 1), quad) is Finiteness.FINITE_GUARANTEED
+    seeds, n = 400, 2000
+    zs = {"sandwich": [], "conj36": [], "opp_upper": []}
+    for s in range(seeds):
+        verdicts = {
+            "sandwich": gpi_sandwich(m3, inverted3, (2,), n, RngStream(1100, s), bounds=("lower",))[2, "lower"],
+            "conj36": tail_probability_conjecture_check(m, (9.3, 14.0), (2,), n, RngStream(1101, s))[2],
+            "opp_upper": opposite_gpi_upper(m3, (0.5, 0.5, 1.0), n, RngStream(1102, s)),
+        }
+        for kind, v in verdicts.items():
+            zs[kind].append(_first_z(v))
+    _assert_calibrated(zs)
+
+
 def test_controlled_z_is_calibrated_where_the_statement_is_an_equality():
     # Block-diagonal scale matrix: conj11, opp_lower, opp_upper and the
-    # lower sandwich hold with equality, and every single-block control is
-    # in play, so the controlled z must still be standard normal.
-    from scipy.stats import binom
-
+    # lower sandwich hold with equality. At blocks (1, 1) all four are
+    # exact rows; at (1, 1, 1) every single-block and pair control is in
+    # play, and so is the tilt weight wherever a power is inverted, so the
+    # controlled z must still be standard normal.
     m = WishartModel(10.0, np.diag([1.0, 1.5]), BlockSpec((1, 1)))
+    m3 = WishartModel(10.0, np.diag([1.0, 1.5, 0.8]), BlockSpec((1, 1, 1)))
     # inverted powers stay in the guaranteed window at four times their size
-    for quad in (ExponentVector((2.0, 4.0), (-1, 1)), ExponentVector((2.0, 2.0), (-1, -1))):
-        assert finiteness_classify(m.alpha, (1, 1), quad) is Finiteness.FINITE_GUARANTEED
+    for quad in (ExponentVector((2.0, 4.0, 4.0), (-1, 1, 1)), ExponentVector((2.0, 2.0, 2.0), (-1, -1, -1))):
+        assert finiteness_classify(m3.alpha, (1, 1, 1), quad) is Finiteness.FINITE_GUARANTEED
     seeds, n = 400, 2000
-    inverted = ExponentVector((0.5, 0.5), (-1, -1))
     checks = {
-        "conj11": lambda rng: product_moment_conjecture_check(m, ExponentVector((0.7, 1.3), (1, 1)), n, rng),
-        "opp_lower": lambda rng: opposite_gpi_lower(m, (0.5, 1.0), n, rng),
-        "opp_upper": lambda rng: opposite_gpi_upper(m, (0.5, 1.0), n, rng),
-        "sandwich": lambda rng: gpi_sandwich(m, inverted, (2,), n, rng, bounds=("lower",))[2, "lower"],
+        "conj11": lambda m, rng: product_moment_conjecture_check(m, ExponentVector((0.7, 1.3, 1.0)[: m.d], (1,) * m.d), n, rng),
+        "opp_lower": lambda m, rng: opposite_gpi_lower(m, (0.5, 1.0, 1.0)[: m.d], n, rng),
+        "opp_upper": lambda m, rng: opposite_gpi_upper(m, ((0.5, 1.0), (0.5, 0.5, 1.0))[m.d - 2], n, rng),
+        "sandwich": lambda m, rng: gpi_sandwich(
+            m, ExponentVector((0.5,) * m.d, (-1,) * m.d), (2,), n, rng, bounds=("lower",)
+        )[2, "lower"],
     }
+    pairs = [[1, 2], [1, 3], [2, 3]]
     zs = {}
     for j, (kind, check) in enumerate(checks.items()):
-        verdicts = [check(RngStream(1103 + j, s)) for s in range(seeds)]
-        assert all(v.detail["controls"]["groups"] == [[1], [2]] for v in verdicts)
-        # the first pass's z, where a rerun replaced the row
-        zs[kind] = [v.detail.get("candidate_rerun", {"first_z": v.z})["first_z"] for v in verdicts]
-        assert 0.85 < np.std(zs[kind]) < 1.15, f"{kind}: sd(z) = {np.std(zs[kind]):.3f}"
-    z = np.concatenate(list(zs.values()))
-    rate = 2 * 0.0013499  # P(|N(0, 1)| > 3)
-    lo, hi = binom.ppf(5e-4, z.size, rate), binom.isf(5e-4, z.size, rate)
-    assert lo <= np.sum(np.abs(z) > 3) <= hi
+        _assert_exact(check(m, RngStream(1103 + j, 0)))
+        verdicts = [check(m3, RngStream(1103 + j, s)) for s in range(seeds)]
+        tilted = kind != "conj11"
+        for v in verdicts:
+            assert v.detail["controls"]["groups"] == [[1], [2], [3]] + pairs + [[]] * tilted
+            assert v.detail["tilt"] == (0.5 if tilted else 0.0)
+        zs[kind] = [_first_z(v) for v in verdicts]
+    _assert_calibrated(zs)
+
+
+def test_tilted_z_is_calibrated_at_a_correlated_scale_matrix():
+    # Blocks (1, 1), alpha = 6, nu = (-2, -2): the plain estimator's second
+    # moment is infinite (2 nu >= alpha/2), the tilted one's is bounded,
+    # and the pair moment gives the true value at a correlated Sigma.
+    sigma = np.array([[1.0, 0.6 * 1.5**0.5], [0.6 * 1.5**0.5, 1.5]])
+    m = WishartModel(6.0, sigma, BlockSpec((1, 1)))
+    exps = ExponentVector((2.0, 2.0), (-1, -1))
+    exact = pair_moment(m, 0, 1, -2.0, -2.0)
+    seeds, n = 400, 2000
+    z = []
+    for s in range(seeds):
+        est = mc_product_moment(m, exps, n, RngStream(1110, s))
+        z.append((est.mean - exact) / est.stderr)
+    _assert_calibrated({"product moment": z})

@@ -9,8 +9,10 @@ import pytest
 from wishartgpi.cli import build_parser, main
 from wishartgpi.errors import ConfigError
 from wishartgpi.harness import (
+    COUNT_CAP,
     CSV_COLUMNS,
     INEQUALITY_IDS,
+    N_SAMPLES_CAP,
     KINDS,
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -624,11 +626,24 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
         kind_raw("bernstein", bernstein={"f": {"atoms": [[HUGE, [[0.7]]]]}, "g": {"atoms": []}}),
         kind_raw("bernstein", bernstein={"f": {"atoms": [[1.0, [[HUGE]]]]}, "g": {"atoms": []}}),
         kind_raw("bernstein", bernstein={"f": {"trace_offset": [[HUGE]]}, "g": {"atoms": []}}),
+        # stream ids run out: past the documented caps
+        sandwich_raw(n_samples=HUGE),
+        sandwich_raw(sigma_source={"kind": "random", "count": HUGE}),
+        sandwich_raw(n_samples=N_SAMPLES_CAP + 1),
+        sandwich_raw(sigma_source={"kind": "random", "count": COUNT_CAP + 1}),
     ],
 )
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):
     assert _cli_run(tmp_path, raw) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_parse_config_accepts_the_stream_caps():
+    # the largest accepted values: a 10x rerun's last chunk index and the
+    # last instance anchor still fit their 32 bits
+    cfg = parse_config(sandwich_raw(n_samples=N_SAMPLES_CAP, sigma_source={"kind": "random", "count": COUNT_CAP}))
+    assert -(-10 * cfg.n_samples // 65536) <= 2**32
+    assert cfg.sigma_source["count"] * 1024 < 2**32
 
 
 @pytest.mark.parametrize(
@@ -799,14 +814,16 @@ def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch, ine
     assert exit_code_for(rows) == 0
 
 
-@pytest.mark.parametrize("seed", [601, 1118, 2018, 2317])
+@pytest.mark.parametrize("seed", [2304, 3398, 5946, 6378])
 def test_proved_equality_violated_by_chance_reruns_and_exits_0(tmp_path, capsys, seed):
     # A block-diagonal scale matrix makes the lower sandwich an equality,
     # so its z is standard normal; at these seeds the first pass falls
     # below -3, and the one rerun at 10x n on fresh streams clears it.
+    # Three 1x1 blocks: at two the row would be exact.
     raw = sandwich_raw(
-        alpha=10.0, exponents={"values": [0.5, 0.5], "signs": [-1, -1]}, bound="lower",
-        sigma_source={"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.5]]},
+        d=3, block_sizes=[1, 1, 1], alpha=10.0, split=2, bound="lower",
+        exponents={"values": [0.5, 0.5, 0.5], "signs": [-1, -1, -1]},
+        sigma_source={"kind": "explicit", "matrix": np.diag([1.0, 1.5, 0.8]).tolist()},
         n_samples=2000, seed=seed,
     )
     assert _cli_run(tmp_path, raw) == 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wishartgpi.errors import DomainError, NotPositiveDefinite
-from wishartgpi.linalg import BlockSpec
-from wishartgpi.special import partitions_of, zonal_polynomial
+from wishartgpi.errors import CapExceeded, DomainError, NotPositiveDefinite
+from wishartgpi.linalg import BlockSpec, direct_sum
+from wishartgpi.special import hyp2f1_series, partitions_of, zonal_polynomial
 from wishartgpi.wishart import (
     RngStream,
     WishartModel,
@@ -16,6 +16,7 @@ from wishartgpi.wishart import (
     log_laplace_transform,
     log_minor_moment,
     minor_moment,
+    pair_moment,
     random_correlation,
     sample,
     sample_sphere,
@@ -215,6 +216,83 @@ def test_minor_moment_blocks_and_monte_carlo():
             want = minor_moment(m, i, nu)
             assert want == pytest.approx(exp(log_minor_moment(m, i, nu)), rel=1e-12)
             assert abs(want - got) < 4 * se
+
+
+def _rho2(m: WishartModel) -> float:
+    # squared multiple correlation of the 1x1 block on the other
+    s, o = (0, 1) if m.spec.sizes[0] == 1 else (1, 0)
+    rs, ro = m.spec.range(s), m.spec.range(o)
+    cross = m.sigma[ro, rs][:, 0]
+    return float(cross @ np.linalg.solve(m.sigma[ro, ro], cross) / m.sigma[rs, rs][0, 0])
+
+
+def test_pair_moment_is_the_product_of_marginals_at_zero_correlation():
+    for sizes in ((1, 1), (1, 3), (2, 1)):
+        sigma = direct_sum(*(pd_matrix(p, 20 + p) for p in sizes))
+        m = WishartModel(7.5, sigma, BlockSpec(sizes))
+        for h, k in ((-0.7, 1.3), (0.4, -1.1), (2.0, 2.5)):
+            # the series is exactly 1 at rho^2 = 0
+            assert pair_moment(m, 0, 1, h, k) == exp(log_minor_moment(m, 0, h) + log_minor_moment(m, 1, k))
+
+
+def test_pair_moment_series_terminates_at_integer_exponents():
+    # 2F1(-h, -k; c; x) is a polynomial of degree h in x at integer h
+    assert hyp2f1_series(-2.0, 1.7, 3.5, 0.6) == pytest.approx(1 - 2 * 1.7 / 3.5 * 0.6 + 1.7 * 2.7 / (3.5 * 4.5) * 0.36, rel=1e-15)
+    m = WishartModel(6.0, pd_matrix(3, 31), BlockSpec((1, 2)))
+    # E X_11 |X_22|^k = E X_11 E|X_22|^k (1 + 2 k rho^2 / alpha)
+    rho2 = _rho2(m)
+    for k in (-0.9, 0.5, 2.0):
+        want = minor_moment(m, 0, 1.0) * minor_moment(m, 1, k) * (1.0 + k * rho2 / 3.0)
+        assert pair_moment(m, 0, 1, 1.0, k) == pytest.approx(want, rel=1e-14)
+
+
+def test_pair_moment_matches_scipy_hyp2f1():
+    from scipy.special import hyp2f1
+
+    param = np.random.default_rng(4711)
+    for case in range(40):
+        sizes = ((1, 1), (1, 2), (2, 1), (1, 3))[case % 4]
+        p = sum(sizes)
+        alpha = float(param.uniform(p + 1.0, p + 10.0))
+        m = WishartModel(alpha, random_correlation(p, RngStream(77, case)), BlockSpec(sizes))
+        # inverted powers inside the finite window, with a margin
+        h = float(param.uniform(-(alpha - sizes[0] + 1) / 2 + 0.3, 3.0))
+        k = float(param.uniform(-(alpha - sizes[1] + 1) / 2 + 0.3, 3.0))
+        series = pair_moment(m, 0, 1, h, k) / exp(log_minor_moment(m, 0, h) + log_minor_moment(m, 1, k))
+        assert series == pytest.approx(hyp2f1(-h, -k, alpha / 2.0, _rho2(m)), rel=1e-13)
+
+
+def test_pair_moment_refusals():
+    m = WishartModel(9.0, pd_matrix(4, 5), BlockSpec((2, 2)))
+    with pytest.raises(DomainError):
+        pair_moment(m, 0, 1, 0.5, 0.5)  # no 1x1 block
+    m = WishartModel(5.0, pd_matrix(2, 5), BlockSpec((1, 1)))
+    with pytest.raises(DomainError):
+        pair_moment(m, 0, 1, -2.6, 0.5)  # E X_11^-2.6 diverges at alpha = 5
+    with pytest.raises(CapExceeded):
+        hyp2f1_series(0.5, 0.5, 1.0, 1.0 - 1e-9)  # converges too slowly
+
+
+@pytest.mark.parametrize(
+    "sizes, alpha, h, k",
+    [
+        ((1, 1), 7.0, -0.8, 1.3),
+        ((1, 1), 9.0, -1.0, -0.8),
+        ((1, 2), 8.0, 0.7, -0.9),
+        ((2, 1), 8.0, -0.9, 0.7),
+        ((1, 3), 9.0, 1.5, 1.1),
+    ],
+)
+def test_pair_moment_matches_monte_carlo(sizes, alpha, h, k):
+    p = sum(sizes)
+    # equicorrelated at 0.5, with unequal scales
+    scale = np.linspace(0.8, 1.4, p)
+    m = WishartModel(alpha, np.outer(scale, scale) * (0.5 + 0.5 * np.eye(p)), BlockSpec(sizes))
+    X = sample(m, RngStream(43, p), size=100000)
+    r0, r1 = m.spec.range(0), m.spec.range(1)
+    vals = np.linalg.det(X[:, r0, r0]) ** h * np.linalg.det(X[:, r1, r1]) ** k
+    se = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - pair_moment(m, 0, 1, h, k)) < 4 * se
 
 
 # ---------------------------------------------------------------- helpers
