@@ -40,8 +40,7 @@ passes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import exp, gamma, hypot, inf, isfinite, lgamma, log, prod
-from numbers import Real
+from math import exp, gamma, hypot, inf, lgamma, log, prod
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .errors import (
     UpperBoundUnavailable,
 )
 from .bounds import integral_window, log_minor_bound_integral
-from .linalg import as_symmetric, block_cholesky, direct_sum, schur_complement
+from .linalg import as_real, as_symmetric, block_cholesky, direct_sum, is_nonnegative_definite, schur_complement
 from .montecarlo import (
     ExponentVector,
     JointEstimate,
@@ -362,8 +361,7 @@ def lt_order_gap(model: WishartModel, k: int, t_blocks) -> float:
         t = as_symmetric(t)
         if t.shape[0] != model.spec.sizes[i]:
             raise ValueError(f"argument block {i} has size {t.shape[0]}, expected {model.spec.sizes[i]}")
-        lam_min = float(np.linalg.eigvalsh(t)[0])
-        if lam_min < -1e-10 * max(1.0, float(np.abs(t).max())):
+        if not is_nonnegative_definite(t):
             raise DomainError(f"argument block {i} is not nonnegative definite")
         blocks.append(t)
     T = direct_sum(*blocks)
@@ -605,18 +603,6 @@ def eigen_gpi_check(
     return _mc_verdicts("eigen", "proved", draw, k_cols, sides, n, as_plan(rng), z_threshold)
 
 
-def _finite_real(val, what: str) -> float:
-    # bool is an int subclass, but true is not the number 1 here; an
-    # integer beyond the float range overflows isfinite.
-    try:
-        ok = not isinstance(val, bool) and isinstance(val, Real) and isfinite(val)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{what} must be a finite real number, got {val!r}")
-    return float(val)
-
-
 @dataclass(frozen=True)
 class BernsteinSpec:
     """Increasing functional T -> tr(A) + sum_j c_j (1 - etr(-T S_j)).
@@ -630,12 +616,12 @@ class BernsteinSpec:
 
     def __post_init__(self):
         A = as_symmetric(self.trace_offset)
-        if float(np.linalg.eigvalsh(A)[0]) < -1e-10 * max(1.0, float(np.abs(A).max())):
+        if not is_nonnegative_definite(A):
             raise DomainError("trace offset must be nonnegative definite")
         A.setflags(write=False)
         atoms = []
         for c, S in self.atoms:
-            c = _finite_real(c, "atom weight")
+            c = as_real(c, "atom weight")
             if c <= 0.0:
                 raise DomainError(f"atom weight must be positive, got {c}")
             S = as_symmetric(S)
@@ -805,7 +791,7 @@ class RadialSpec:
         for name in ("dof", "value", "mu", "sigma"):
             val = getattr(self, name)
             if val is not None or name in ("mu", "sigma"):
-                _finite_real(val, f"radial {name}")
+                as_real(val, f"radial {name}")
         if self.kind == "chisq" and not (self.dof is None or self.dof > 0):
             raise ValueError("chisq dof must be positive")
         if self.kind == "point" and not (self.value is not None and self.value > 0):

@@ -38,7 +38,7 @@ def _load_config(path: str, override_finiteness: bool = False) -> ExperimentConf
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an integer of too many digits, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     return parse_config(raw, override_finiteness=override_finiteness)
 
@@ -155,8 +155,10 @@ def main(argv=None) -> int:
         DegenerateVariance,
         DivergentIntegral,
         DomainError,
+        FloatingPointError,
         InfiniteMoment,
         NotPositiveDefinite,
+        OverflowError,
         UpperBoundUnavailable,
     ) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

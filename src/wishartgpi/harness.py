@@ -18,15 +18,15 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
-from math import inf, isfinite
+from dataclasses import asdict, dataclass, field, fields, replace
+from math import inf
 from typing import Callable
 
 import numpy as np
 
 from .bounds import integral_window
 from .errors import ConfigError
-from .linalg import BlockSpec, as_symmetric, direct_sum, is_positive_definite
+from .linalg import BlockSpec, as_real, as_symmetric, direct_sum, is_nonnegative_definite, is_positive_definite
 from .montecarlo import (
     CHUNK_DRAWS,
     ExponentVector,
@@ -134,7 +134,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = asdict(self)
         del out["params"]
-        out["block_sizes"] = list(self.block_sizes)
         return out
 
     @classmethod
@@ -149,43 +148,83 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _is_number(val) -> bool:
-    # Finite JSON numbers only: bool is an int subclass, but true is not
-    # 1.0 here, and an integer beyond the float range is no usable number.
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return isfinite(val)
-    except OverflowError:
-        return False
+# --- config fields ----------------------------------------------------------
+# Each field a config sets is a table row: its reader, default and admitted
+# values; `CONFIG_FIELDS` holds the top level, `Kind.fields` each kind's own.
+# Keys no table names are ignored, so older schema-1 documents still parse.
 
 
-def _need(raw: dict, key: str, kind, what: str, default=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing field {key!r} ({what})")
-    val = raw[key]
-    if kind is float:
-        if not _is_number(val):
-            raise ConfigError(f"field {key!r} must be a finite number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"field {key!r} must be an integer, got {val!r}")
-        return val
-    if not isinstance(val, kind):
-        raise ConfigError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
-    return val
+@dataclass(frozen=True)
+class _Field:
+    read: Callable[[object, str], object]  # (JSON value, field path) -> parsed value
+    default: object = ...  # ...: the field is required
+    admits: Callable[[object], bool] = lambda val: True
+    want: str = ""
+
+
+def _fields(obj, table: dict, where: str = "") -> dict:
+    """The parsed value of every field of `table` in the JSON object `obj`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config'} must be a JSON object")
+    out = {}
+    for name, f in table.items():
+        path = where + name
+        if name not in obj and f.default is ...:
+            raise ConfigError(f"missing field {path!r}")
+        out[name] = f.read(obj[name], path) if name in obj else f.default
+        if name in obj and not f.admits(out[name]):
+            raise ConfigError(f"{path} must be {f.want}, got {obj[name]!r}")
+    return out
+
+
+def _typed(kind, name: str):
+    # A JSON value of one type, as it is; true is no integer here.
+    def read(val, where):
+        if isinstance(val, kind) and (kind is bool or not isinstance(val, bool)):
+            return val
+        raise ConfigError(f"{where} must be {name}, got {val!r}")
+
+    return read
+
+
+_int = _typed(int, "an integer")
+_list = _typed(list, "a list")
+
+
+def _list_of(read):
+    return lambda val, where: [read(x, f"{where}[{i}]") for i, x in enumerate(_list(val, where))]
+
+
+def _object(table: dict):
+    return lambda val, where: _fields(val, table, f"{where}.")
+
+
+def _one_of(names):
+    def read(val, where):
+        if isinstance(val, str) and val in names:
+            return val
+        raise ConfigError(f"unknown {where} {val!r}; valid: {', '.join(names)}")
+
+    return read
+
+
+def _matrix(val, where: str) -> list:
+    """A square JSON matrix of finite numbers, symmetrised, as nested lists."""
+    rows = _list_of(_list_of(as_real))(val, where)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"{where} must be a square matrix")
+    return as_symmetric(rows).tolist()
 
 
 @dataclass(frozen=True)
 class Kind:
     """How the harness parses, splits, runs and labels one inequality kind.
 
-    ``parse(raw, spec, alpha, override)`` validates the kind's fields and
-    returns ``(params, fields)``: the typed parameters ``run`` reads from
-    ``config.params`` and the config fields echoed to JSON.
+    ``parse(f, spec, alpha, override)`` checks the rules that tie the
+    kind's fields `f`, as read by its table ``fields``, to each other and
+    to the model shape, and returns ``(params, echo)``: the typed
+    parameters ``run`` reads from ``config.params`` and the config fields
+    echoed to JSON.
     ``run(c, s, splits, o, n=, rng=, z_threshold=)`` runs
     config c at scale matrix s for every split in `splits` (``[None]``
     for a kind without one) under finiteness override o, all splits from
@@ -198,23 +237,22 @@ class Kind:
 
     parse: Callable
     run: Callable
+    fields: dict
     top: Callable[[BlockSpec], int] | None = lambda spec: spec.d
     column: Callable[[object], str] = lambda params: ""
 
 
-def _parse_exponents(raw: dict, n: int, ineq: str, sign: int | None = None):
-    exps = raw.get("exponents")
-    if not isinstance(exps, dict) or "values" not in exps or "signs" not in exps:
-        raise ConfigError("exponents must be an object with 'values' and 'signs' lists")
-    if not all(
-        isinstance(seq, (list, tuple)) and all(map(_is_number, seq))
-        for seq in (exps["values"], exps["signs"])
-    ):
-        raise ConfigError("exponents 'values' and 'signs' must be lists of numbers")
-    try:
-        exps = ExponentVector(tuple(exps["values"]), tuple(exps["signs"]))
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad exponents: {err}") from None
+_EXPONENTS = {
+    "exponents": _Field(_object({
+        "values": _Field(_list_of(as_real)),
+        "signs": _Field(_list_of(as_real), admits=lambda signs: all(s in (-1, 1) for s in signs),
+                        want="a list of signs -1 or +1"),
+    })),
+}
+
+
+def _exponents(f: dict, n: int, ineq: str, sign: int | None = None):
+    exps = ExponentVector(tuple(f["exponents"]["values"]), tuple(f["exponents"]["signs"]))
     if exps.d != n:
         raise ConfigError(f"exponents carry {exps.d} entries, config d={n}")
     if sign is not None and any(s != sign for s in exps.signs):
@@ -254,15 +292,10 @@ def _every_split(verdict, splits) -> dict:
 _SIDES = {"lower": ("lower",), "upper": ("upper",), "both": ("lower", "upper")}
 
 
-def _parse_sandwich(raw, spec, alpha, override):
-    exps, fields = _parse_exponents(raw, spec.d, "sandwich", -1)
-    bound = raw.get("bound", "lower")
-    if bound not in _SIDES:
-        raise ConfigError("bound must be 'lower', 'upper', or 'both'")
-    if spec.d < 2:
-        raise ConfigError("sandwich needs d >= 2")
+def _parse_sandwich(f, spec, alpha, override):
+    exps, echo = _exponents(f, spec.d, "sandwich", -1)
     _require_finite(exps, spec, alpha, override)
-    if bound in ("upper", "both"):
+    if "upper" in _SIDES[f["bound"]]:
         for i, p_i in enumerate(spec.sizes):
             lo, hi, _rule = integral_window(p_i, alpha)
             if not lo < exps.values[i] < hi:
@@ -270,88 +303,75 @@ def _parse_sandwich(raw, spec, alpha, override):
                     f"upper bound needs nu_{i + 1} strictly inside ({lo}, {hi}) "
                     f"for block size {p_i}, got {exps.values[i]}"
                 )
-    return exps, fields
+    return exps, {**echo, "bound": f["bound"]}
 
 
-def _parse_conj36(raw, spec, alpha, override):
-    thresholds = raw.get("thresholds")
-    if thresholds is not None:
-        if (
-            not isinstance(thresholds, list)
-            or len(thresholds) != spec.d
-            or not all(map(_is_number, thresholds))
-        ):
-            raise ConfigError(f"thresholds must be a list of {spec.d} positive numbers or null")
-        thresholds = tuple(float(t) for t in thresholds)
-        if not all(0 < t < inf for t in thresholds):
-            raise ConfigError("thresholds must be positive and finite")
-    return thresholds, {"thresholds": thresholds and list(thresholds)}
+def _parse_conj36(f, spec, alpha, override):
+    thresholds = f["thresholds"]
+    if thresholds is not None and len(thresholds) != spec.d:
+        raise ConfigError(f"thresholds must list {spec.d} positive numbers, or be null")
+    return thresholds and tuple(thresholds), {"thresholds": thresholds}
 
 
 def _opposite(ineq: str, want: Callable[[int], tuple], pattern: str, check: Callable) -> Kind:
     # Positive magnitudes with fixed signs; check() fetches the check when a row runs.
-    def parse(raw, spec, alpha, override):
-        exps, fields = _parse_exponents(raw, spec.d, ineq)
-        if spec.d < 2 or exps.signs != want(spec.d) or any(v <= 0 for v in exps.values):
+    def parse(f, spec, alpha, override):
+        exps, echo = _exponents(f, spec.d, ineq)
+        if exps.signs != want(spec.d) or any(v <= 0 for v in exps.values):
             raise ConfigError(f"{ineq} needs positive magnitudes with signs {pattern}")
         _require_finite(exps, spec, alpha, override)
-        return exps, fields
+        return exps, echo
 
     def run_instance(c, s, splits, o, **mc):
         return _every_split(check()(_model(c, s), c.params.values, override_finiteness=o, **mc), splits)
 
-    return Kind(parse, run_instance, column=_signed_column)
+    return Kind(parse, run_instance, _EXPONENTS, column=_signed_column)
 
 
-def _parse_bernstein(raw, spec, alpha, override):
+def _atom(val, where):
+    pair = _list(val, where)
+    if len(pair) != 2:
+        raise ConfigError(f"{where} must be a pair [weight, site matrix]")
+    return pair[0], _matrix(pair[1], f"{where}[1]")
+
+
+_FUNCTIONAL = {"trace_offset": _Field(_matrix, None), "atoms": _Field(_list_of(_atom), [])}
+
+
+def _parse_bernstein(f, spec, alpha, override):
     if spec.d != 2:
         raise ConfigError("bernstein needs exactly two blocks")
-    braw = _need(raw, "bernstein", dict, "functional pair")
     pair = []
     for which, p in zip("fg", spec.sizes):
-        fraw = braw.get(which)
-        if not isinstance(fraw, dict):
-            raise ConfigError(f"bernstein.{which} must be an object")
-        A = np.array(fraw.get("trace_offset", np.zeros((p, p))), dtype=float)
-        atoms = tuple((c, np.array(S, dtype=float)) for c, S in fraw.get("atoms", []))
-        try:
-            pair.append(BernsteinSpec(A, atoms))
-        except (ValueError, OverflowError) as err:
-            raise ConfigError(f"bernstein.{which}: {err}") from None
+        offset, atoms = (f["bernstein"][which][k] for k in _FUNCTIONAL)
+        pair.append(BernsteinSpec(np.zeros((p, p)) if offset is None else offset, tuple(atoms)))
         if pair[-1].dim != p:
             raise ConfigError(f"bernstein.{which} has dimension {pair[-1].dim}, block needs {p}")
-    return tuple(pair), {"bernstein": dict(braw)}
+    echo = {w: {"trace_offset": b.trace_offset.tolist(), "atoms": [[c, S.tolist()] for c, S in b.atoms]}
+            for w, b in zip("fg", pair)}
+    return tuple(pair), {"bernstein": echo}
 
 
-def _parse_elliptical(raw, spec, alpha, override):
-    eraw = _need(raw, "elliptical", dict, "sphere exponents and radial law")
-    alphas = eraw.get("alphas")
-    if not isinstance(alphas, list) or len(alphas) != spec.total:
+def _radial(val, where):
+    # RadialSpec reads and checks its own fields; only `kind` has no default.
+    raw = _typed(dict, "a JSON object")(val, where)
+    if "kind" not in raw:
+        raise ConfigError(f"missing field '{where}.kind'")
+    return RadialSpec(**{k.name: raw[k.name] for k in fields(RadialSpec) if k.name in raw})
+
+
+def _parse_elliptical(f, spec, alpha, override):
+    alphas, radial = f["elliptical"]["alphas"], f["elliptical"]["radial"]
+    if len(alphas) != spec.total:
         raise ConfigError(f"elliptical.alphas must list {spec.total} exponents")
-    if not all(_is_number(a) and 0 <= a < inf for a in alphas):
-        raise ConfigError("elliptical.alphas must be nonnegative finite numbers")
-    rraw = eraw.get("radial", {"kind": "chisq"})
-    try:
-        radial = RadialSpec(**rraw)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"elliptical.radial: {err}") from None
-    return (tuple(float(a) for a in alphas), radial), {"elliptical": dict(eraw)}
+    return (tuple(alphas), radial), {"elliptical": {"alphas": alphas, "radial": asdict(radial)}}
 
 
-def _parse_lt_order(raw, spec, alpha, override):
-    traw = _need(raw, "t_blocks", list, "transform argument blocks")
-    if len(traw) != spec.d:
-        raise ConfigError(f"t_blocks must hold {spec.d} matrices")
-    t_blocks = []
-    for i, entry in enumerate(traw):
-        t = np.atleast_2d(np.array(entry, dtype=float))
-        if t.shape != (spec.sizes[i], spec.sizes[i]):
-            raise ConfigError(f"t_blocks[{i}] must be {spec.sizes[i]}x{spec.sizes[i]}, got {t.shape}")
-        lam_min = float(np.linalg.eigvalsh(as_symmetric(t))[0])
-        if lam_min < -1e-10 * max(1.0, float(np.abs(t).max())):
-            raise ConfigError(f"t_blocks[{i}] is not nonnegative definite")
-        t_blocks.append(t)
-    return (t_blocks, direct_sum(*t_blocks)), {"t_blocks": [t.tolist() for t in t_blocks]}
+def _parse_lt_order(f, spec, alpha, override):
+    t_blocks = f["t_blocks"]
+    if [len(t) for t in t_blocks] != list(spec.sizes):
+        raise ConfigError(f"t_blocks must hold one matrix per block, of sizes {list(spec.sizes)}")
+    return (t_blocks, direct_sum(*t_blocks)), {"t_blocks": t_blocks}
 
 
 def _run_lt_order(config, sigma, splits, override, **mc):
@@ -376,16 +396,20 @@ KINDS = {
         lambda c, s, ks, o, **mc: gpi_sandwich(
             _model(c, s), c.params, ks, bounds=_SIDES[c.bound], override_finiteness=o, **mc
         ),
+        {**_EXPONENTS, "bound": _Field(_one_of(_SIDES), "lower")},
         column=_signed_column,
     ),
     "conj11": Kind(
-        lambda raw, spec, alpha, o: _parse_exponents(raw, spec.d, "conj11", 1),
+        lambda f, spec, alpha, o: _exponents(f, spec.d, "conj11", 1),
         lambda c, s, ks, o, **mc: _every_split(product_moment_conjecture_check(_model(c, s), c.params, **mc), ks),
+        _EXPONENTS,
         column=_signed_column,
     ),
     "conj36": Kind(
         _parse_conj36,
         lambda c, s, ks, o, **mc: _by_split(tail_probability_conjecture_check(_model(c, s), c.params, ks, **mc)),
+        {"thresholds": _Field(lambda val, where: None if val is None else _list_of(as_real)(val, where), None,
+                              lambda ts: ts is None or all(t > 0 for t in ts), "a list of positive numbers or null")},
     ),
     "opp_lower": _opposite(
         "opp_lower", lambda d: (-1,) + (1,) * (d - 1), "(-1, +1, ..., +1)", lambda: opposite_gpi_lower
@@ -396,135 +420,101 @@ KINDS = {
     "bernstein": Kind(
         _parse_bernstein,
         lambda c, s, ks, o, **mc: {(None, ""): bernstein_pair_check(_model(c, s), *c.params, **mc)},
+        {"bernstein": _Field(_object({"f": _Field(_object(_FUNCTIONAL)), "g": _Field(_object(_FUNCTIONAL))}))},
         top=None,
     ),
     # eigen splits the ordered eigenvalues: one split point per coordinate
     "eigen": Kind(
-        lambda raw, spec, alpha, o: _parse_exponents(raw, spec.total, "eigen", 1),
+        lambda f, spec, alpha, o: _exponents(f, spec.total, "eigen", 1),
         lambda c, s, ks, o, **mc: _by_split(eigen_gpi_check(_model(c, s), c.params.values, ks, **mc)),
+        _EXPONENTS,
         top=lambda spec: spec.total,
         column=_signed_column,
     ),
     "elliptical": Kind(
         _parse_elliptical,
         lambda c, s, ks, o, **mc: {(None, ""): elliptical_gpi_check(np.linalg.cholesky(s), *c.params, **mc)},
+        {"elliptical": _Field(_object({
+            "alphas": _Field(_list_of(as_real), admits=lambda a: min(a, default=0) >= 0, want="a list of numbers >= 0"),
+            "radial": _Field(_radial, RadialSpec("chisq")),
+        }))},
         top=None,
         column=lambda params: "|".join(_fmt(a) for a in params[0]),
     ),
-    "lt_order": Kind(_parse_lt_order, _run_lt_order),
+    "lt_order": Kind(
+        _parse_lt_order,
+        _run_lt_order,
+        {"t_blocks": _Field(_list_of(_matrix), admits=lambda ts: all(map(is_nonnegative_definite, ts)),
+                            want="a list of nonnegative definite matrices")},
+    ),
 }
 
 INEQUALITY_IDS = tuple(KINDS)
+
+_SOURCES = {
+    # a lambda, so that a tracer's wrapper of this module's is_positive_definite sees the call
+    "explicit": {"matrix": _Field(_matrix, admits=lambda m: is_positive_definite(m), want="positive definite")},
+    "random": {
+        "count": _Field(_int, admits=lambda n: 1 <= n <= COUNT_CAP, want=f"an integer in 1..{COUNT_CAP}"),
+        "jitter": _Field(as_real, 1e-6, lambda j: j >= 0, "a nonnegative number"),
+    },
+}
+
+
+def _source(val, where):
+    kind = _fields(val, {"kind": _Field(_one_of(_SOURCES))}, f"{where}.")["kind"]
+    return {"kind": kind, **_fields(val, _SOURCES[kind], f"{where}.")}
+
+
+CONFIG_FIELDS = {
+    "schema_version": _Field(_int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
+    "inequality_id": _Field(_one_of(KINDS)),
+    "d": _Field(_int, admits=lambda d: d >= 1, want="a positive integer"),
+    "block_sizes": _Field(_list_of(_int), admits=lambda s: s and min(s) >= 1, want="a list of positive integers"),
+    "alpha": _Field(as_real),
+    "sigma_source": _Field(_source),
+    "n_samples": _Field(_int, admits=lambda n: 2 <= n <= N_SAMPLES_CAP, want=f"an integer in 2..{N_SAMPLES_CAP}"),
+    "seed": _Field(_int, admits=lambda seed: 0 <= seed < 2**64, want="an integer in 0..2**64-1"),
+    "z_threshold": _Field(as_real, 3.0, lambda z: z > 0, "a positive number"),
+    "split": _Field(lambda val, where: val if val == "all" else _typed(int, "an integer or 'all'")(val, where), "all"),
+    "output_path": _Field(_typed((str, type(None)), "a string or null"), None),
+    "override_finiteness": _Field(_typed(bool, "true or false"), False),
+}
 
 
 def parse_config(raw: dict, override_finiteness: bool = False) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig.
 
-    All windows and shape constraints that do not depend on a concrete
-    random scale matrix are checked here, before any sampling, and the
-    kind's fields become the typed parameters `run` uses. The keyword or
-    a document field "override_finiteness": true lifts the finiteness
+    Every field is read through its table row, and all windows and shape
+    constraints that do not depend on a concrete random scale matrix are
+    checked here, before any sampling. The kind's fields become the typed
+    parameters `run` uses; the config echoes the parsed values. The keyword
+    or a document field "override_finiteness": true lifts the finiteness
     refusal; the config records either, and `run` honours it.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
-    ineq = _need(raw, "inequality_id", str, "which inequality to check")
-    if ineq not in KINDS:
-        raise ConfigError(f"unknown inequality_id {ineq!r}; valid: {', '.join(KINDS)}")
-    kind = KINDS[ineq]
-    d = _need(raw, "d", int, "number of diagonal blocks")
-    sizes = _need(raw, "block_sizes", list, "block sizes")
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in sizes):
-        raise ConfigError(f"block_sizes must be a list of integers, got {sizes!r}")
     try:
-        spec = BlockSpec(tuple(sizes))
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad block_sizes: {err}") from None
-    if spec.d != d:
-        raise ConfigError(f"block_sizes has {spec.d} blocks, config d={d}")
-    alpha = _need(raw, "alpha", float, "degrees of freedom")
-    if not alpha > spec.total - 1:
-        raise ConfigError(f"alpha must exceed p-1 = {spec.total - 1}, got {alpha}")
-    n_samples = _need(raw, "n_samples", int, "Monte Carlo draws per estimate")
-    if not 2 <= n_samples <= N_SAMPLES_CAP:
-        raise ConfigError(f"n_samples must lie in 2..{N_SAMPLES_CAP}, got {n_samples}")
-    seed = _need(raw, "seed", int, "stream seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    z_threshold = _need(raw, "z_threshold", float, "z-score cutoff", 3.0)
-    if z_threshold <= 0:
-        raise ConfigError("z_threshold must be positive")
-
-    source = _need(raw, "sigma_source", dict, "where scale matrices come from")
-    if source.get("kind") == "explicit":
-        try:
-            mat = np.array(source.get("matrix"), dtype=float)
-        except (ValueError, TypeError, OverflowError) as err:
-            raise ConfigError(f"sigma_source.matrix: {err}") from None
-        if mat.shape != (spec.total, spec.total):
-            raise ConfigError(f"sigma_source.matrix must be {spec.total}x{spec.total}, got {mat.shape}")
-        try:
-            sym = as_symmetric(mat)
-        except ValueError as err:
-            raise ConfigError(f"sigma_source.matrix: {err}") from None
-        if not is_positive_definite(sym):
-            raise ConfigError("sigma_source.matrix is not positive definite")
-    elif source.get("kind") == "random":
-        count = source.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= COUNT_CAP:
-            raise ConfigError(f"sigma_source.random needs an integer 'count' in 1..{COUNT_CAP}")
-        if _need(source, "jitter", float, "diagonal jitter", 0.0) < 0:
-            raise ConfigError("sigma_source.jitter must be a nonnegative number")
-    else:
-        raise ConfigError("sigma_source.kind must be 'explicit' or 'random'")
-
-    split = raw.get("split", "all")
-    if split != "all":
-        if not isinstance(split, int) or isinstance(split, bool):
-            raise ConfigError("split must be an integer or 'all'")
-        if kind.top is None:
-            raise ConfigError(f"{ineq} has no split point; split must be 'all'")
-        top = kind.top(spec)
-        if not 2 <= split <= top:
-            raise ConfigError(f"split must lie in 2..{top}, got {split}")
-
-    override = _need(raw, "override_finiteness", bool, "finiteness override", False) or override_finiteness
-    try:
-        params, fields = kind.parse(raw, spec, alpha, override)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OverflowError) as err:
-        raise ConfigError(f"bad {ineq} field: {err}") from None
-
-    # Accepted for old documents; chunks always run on the calling thread.
-    workers = raw.get("workers")
-    if workers is not None and (
-        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-    ):
-        raise ConfigError("workers must be a positive integer or null")
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path must be a string or null")
-
-    return ExperimentConfig(
-        inequality_id=ineq,
-        d=d,
-        block_sizes=spec.sizes,
-        alpha=alpha,
-        sigma_source=dict(source),
-        n_samples=n_samples,
-        seed=seed,
-        z_threshold=z_threshold,
-        split=split,
-        bound=raw.get("bound", "lower"),
-        output_path=output_path,
-        override_finiteness=override,
-        params=params,
-        **fields,
-    )
+        c = _fields(raw, CONFIG_FIELDS)
+        ineq, spec = c["inequality_id"], BlockSpec(tuple(c["block_sizes"]))
+        kind = KINDS[ineq]
+        if spec.d != c["d"]:
+            raise ConfigError(f"block_sizes has {spec.d} blocks, config d={c['d']}")
+        if not c["alpha"] > spec.total - 1:
+            raise ConfigError(f"alpha must exceed p-1 = {spec.total - 1}, got {c['alpha']}")
+        matrix = c["sigma_source"].get("matrix")
+        if matrix is not None and len(matrix) != spec.total:
+            raise ConfigError(f"sigma_source.matrix must be {spec.total}x{spec.total}, got {len(matrix)}x{len(matrix)}")
+        top = kind.top and kind.top(spec)
+        if top is not None and top < 2:
+            raise ConfigError(f"{ineq} needs a split range 2..n with n >= 2 (d, or p for eigen), got n = {top}")
+        if c["split"] != "all" and not (top and 2 <= c["split"] <= top):
+            raise ConfigError(f"split must lie in 2..{top}, got {c['split']}" if top else
+                              f"{ineq} has no split point; split must be 'all'")
+        c["block_sizes"] = spec.sizes
+        c["override_finiteness"] = c["override_finiteness"] or override_finiteness
+        params, echo = kind.parse(_fields(raw, kind.fields), spec, c["alpha"], c["override_finiteness"])
+    except ValueError as err:  # a reader or a spec constructor refused a value
+        raise ConfigError(str(err)) from None
+    return ExperimentConfig(**c, **echo, params=params)
 
 
 @dataclass(frozen=True)
@@ -595,10 +585,9 @@ def _sigma_instances(config: ExperimentConfig, spec: BlockSpec):
     if source["kind"] == "explicit":
         yield 0, as_symmetric(np.array(source["matrix"], dtype=float))
         return
-    jitter = float(source.get("jitter", 1e-6))
-    for i in range(int(source["count"])):
+    for i in range(source["count"]):
         yield i, random_correlation(
-            spec.total, RngStream(config.seed, _SIGMA_STREAM_BASE + i), jitter=jitter
+            spec.total, RngStream(config.seed, _SIGMA_STREAM_BASE + i), jitter=source["jitter"]
         )
 
 
@@ -636,8 +625,6 @@ def run(config: ExperimentConfig, override_finiteness: bool = False) -> list[Rep
         splits = [config.split]
 
     rows: list[ReportRow] = []
-    if not splits:
-        return rows
     for sigma_idx, sigma in _sigma_instances(config, spec):
         digest = sigma_digest(sigma)
         sigma_list = sigma.tolist()

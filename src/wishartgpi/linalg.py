@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from .errors import IndexOutOfRange, NotPositiveDefinite, SingularPivot
 
 __all__ = [
     "BlockSpec",
+    "as_real",
     "as_symmetric",
+    "is_nonnegative_definite",
     "is_positive_definite",
     "sqrt_pd",
     "sym_eigenvalues",
@@ -27,6 +31,17 @@ __all__ = [
     "schur_complement",
     "direct_sum",
 ]
+
+
+def as_real(val, what: str = "value") -> float:
+    """`val` as a float; ValueError naming `what` unless it is a finite real number (not a bool)."""
+    if isinstance(val, Real) and not isinstance(val, bool):
+        try:
+            if isfinite(val):
+                return float(val)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a finite real number, got {val!r}")
 
 
 def as_symmetric(a, tol: float = 1e-8) -> np.ndarray:
@@ -126,6 +141,12 @@ def is_positive_definite(S, tol: float = 1e-12) -> bool:
         v = A[k + 1 :, k]
         A[k + 1 :, k + 1 :] -= np.outer(v, v) / A[k, k]
     return True
+
+
+def is_nonnegative_definite(S, tol: float = 1e-10) -> bool:
+    """Whether the least eigenvalue of `S` is at least ``-tol`` times its largest entry (or 1)."""
+    S = as_symmetric(S)
+    return float(np.linalg.eigvalsh(S)[0]) >= -tol * max(1.0, float(np.abs(S).max()))
 
 
 def sqrt_pd(S) -> np.ndarray:

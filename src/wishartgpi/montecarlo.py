@@ -218,7 +218,8 @@ def mc_mean(draw_values, n: int, rng: RngStream, columns: int | None = None):
     Chunk co-moments are merged with the pairwise update of Pebay
     (SAND2008-6212), which is the Chan et al. variance fold at k = 1.
     Raises DegenerateVariance when every draw of some column is identical
-    (its stderr would be meaningless).
+    (its stderr would be meaningless), FloatingPointError on a non-finite
+    draw or co-moment.
     """
     layout = _chunk_layout(n)
     k = 1 if columns is None else int(columns)
@@ -242,6 +243,8 @@ def mc_mean(draw_values, n: int, rng: RngStream, columns: int | None = None):
         mean_acc = mean_acc + delta * m / tot
         c_acc = c_acc + (dev @ dev.T + np.outer(delta, delta) * n_acc * m / tot)
         n_acc = tot
+    if not np.all(np.isfinite(c_acc)):
+        raise FloatingPointError("Monte Carlo co-moment overflowed")
     if n_acc >= 2 and np.any(np.diag(c_acc) == 0.0):
         raise DegenerateVariance("all Monte Carlo draws identical")
     joint = JointEstimate(mean_acc, c_acc, n_acc)

@@ -78,7 +78,7 @@ def test_parse_config_roundtrip():
         ({"exponents": [0.4, 0.4]}, "exponents"),
         ({"bound": "sideways"}, "bound"),
         ({"exponents": {"values": [3.0, 0.4], "signs": [-1, -1]}}, "infinite"),
-        ({"workers": 0}, "workers"),
+        ({"d": 1, "block_sizes": [2], "exponents": {"values": [0.4], "signs": [-1]}}, "split range"),
         ({"output_path": 7}, "output_path"),
     ],
 )
@@ -480,9 +480,10 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert "2 rows" in out
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{", encoding="utf-8")
-    assert main(["run", "--config", str(bad)]) == 1
-    assert "config error" in capsys.readouterr().err
+    for text in ("{", '{"alpha": ' + "1" * 5000 + "}"):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
 
@@ -572,7 +573,8 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
         sandwich_raw(z_threshold=None),
         sandwich_raw(sigma_source={"kind": "explicit", "matrix": "x"}),
         sandwich_raw(sigma_source={"kind": "random", "count": 1, "jitter": True}),
-        sandwich_raw(workers=True),
+        # a kind with a split range needs at least 2 in it
+        kind_raw("conj11", d=1, block_sizes=[2], exponents={"values": [1.0], "signs": [1]}),
         sandwich_raw(override_finiteness="yes"),
         kind_raw("conj36", thresholds=["a", 1.0]),
         kind_raw("lt_order", t_blocks=[["x"], [[0.5]]]),
@@ -631,11 +633,92 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
         sandwich_raw(sigma_source={"kind": "random", "count": HUGE}),
         sandwich_raw(n_samples=N_SAMPLES_CAP + 1),
         sandwich_raw(sigma_source={"kind": "random", "count": COUNT_CAP + 1}),
+        kind_raw("conj36", d=1, block_sizes=[2]),
+        kind_raw("lt_order", d=1, block_sizes=[1], t_blocks=[[[0.5]]], sigma_source={"kind": "random", "count": 1}),
+        kind_raw("conj36", inequality_id="eigen", d=1, block_sizes=[1], exponents={"values": [1.0], "signs": [1]},
+                 sigma_source={"kind": "random", "count": 1}),
     ],
 )
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):
     assert _cli_run(tmp_path, raw) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"report holds the non-JSON constant {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+# One valid document per kind on two blocks (eigen: one 2x2 block), plus a
+# random-source one. Every document carries `bound` and an unknown key,
+# and every explicit source a `jitter`, so unread values are walked too.
+WALK_SOURCE = {"kind": "explicit", "matrix": [[1.0, 0.4], [0.4, 1.0]], "jitter": 0.0, "note": 0}
+WALK_DOCS = [
+    # conj36 reads no kind fields, so its small config is the common base
+    kind_raw("conj36", inequality_id=ineq, n_samples=200, note=0, sigma_source=WALK_SOURCE, **{"bound": "lower", **extra})
+    for ineq, extra in [
+        ("sandwich", {"exponents": {"values": [0.4, 0.4], "signs": [-1, -1], "note": 0}, "bound": "both"}),
+        ("conj11", {"exponents": {"values": [1.0, 1.0], "signs": [1, 1]}}),
+        ("conj36", {"thresholds": [1.0, 2.0]}),
+        ("opp_lower", {"exponents": {"values": [0.4, 1.0], "signs": [-1, 1]}}),
+        ("opp_upper", {"exponents": {"values": [0.4, 1.0], "signs": [-1, 1]}}),
+        ("bernstein", {"bernstein": {"f": {"trace_offset": [[0.5]], "atoms": [[1.0, [[0.7]]]], "note": 0},
+                                     "g": {"atoms": [[1.0, [[0.3]]]]}}}),
+        ("eigen", {"d": 1, "block_sizes": [2], "exponents": {"values": [1.0, 0.5], "signs": [1, 1]}, "split": 2}),
+        ("elliptical", {"elliptical": {"alphas": [1.0, 0.5], "note": 0,
+                                       "radial": {"kind": "lognormal", "mu": 0.0, "sigma": 0.5, "note": 0}}}),
+        ("lt_order", {"t_blocks": [[[0.5]], [[0.5]]]}),
+    ]
+] + [kind_raw("conj36", n_samples=200, sigma_source={"kind": "random", "count": 2, "jitter": 1e-6})]
+
+WALK_VALUES = [True, None, "x", -1, 0, 1.5, 1e300, -1e300, float("nan"), float("inf"), float("-inf"),
+               10**400, 2**64, [], {}, [1]]
+
+
+def _walk_paths(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _walk_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_every_node_replaced_parses_or_is_refused_and_runs_to_a_strict_report(tmp_path, capsys):
+    cfg_path, out, report = tmp_path / "cfg.json", tmp_path / "out", tmp_path / "out.json"
+    ran = 0
+    for doc in WALK_DOCS:
+        for path in _walk_paths(doc):
+            for value in WALK_VALUES:
+                raw = _replaced(doc, path, value)
+                try:
+                    parse_config(raw)
+                except ConfigError:
+                    continue
+                raw["n_samples"] = min(raw["n_samples"], 5000)
+                if raw["sigma_source"]["kind"] == "random":
+                    raw["sigma_source"]["count"] = min(raw["sigma_source"]["count"], 4)
+                cfg_path.write_text(json.dumps(dict(raw, output_path=str(out))), encoding="utf-8")
+                report.unlink(missing_ok=True)
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    code = main(["run", "--config", str(cfg_path)])
+                where = f"{raw['inequality_id']} {path} = {value!r}"
+                assert code in (0, 1, 2), where
+                if code != 1:
+                    assert _strict_json(report)["config"], where
+                ran += 1
+    capsys.readouterr()
+    assert ran > 100
 
 
 def test_parse_config_accepts_the_stream_caps():
