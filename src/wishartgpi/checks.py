@@ -17,17 +17,17 @@ through `product_columns` with ``controls=True``. When an exponent is
 inverted, that estimator is tilted: it samples W(alpha - 2c, Sigma) and
 weights every column by K |X|^c, which leaves each mean unchanged and
 keeps inverse minors bounded. It adds a column for every single block
-and every pair of blocks with a 1x1 block whose closed-form moment
-(`pair_moment` for a pair) has a finite variance under that estimator,
-and the tilt weight, of mean exactly 1. The driver reads every side off
-`JointEstimate.controlled`, the same draws regressed on those exactly
-known means; each such verdict records the tilt c under ``tilt``, and
-the control groups and the plain / controlled margin-variance ratio
-under ``controls``. When every column is a control (two blocks, one of
-them 1x1), the verdict is exact and nothing is drawn. The Bernstein
-check stays uncontrolled: with f(X_11) and g(X_22) as controls its
-residual is carried by rare draws whenever a functional is nearly
-constant, and the sample variance misses them.
+and every pair of blocks whose smaller block is at most 2x2 and whose
+closed-form moment (`pair_moment` for a pair) has a finite variance
+under that estimator, and the tilt weight, of mean exactly 1. The
+driver reads every side off `JointEstimate.controlled`, the same draws
+regressed on those exactly known means; each such verdict records the
+tilt c under ``tilt``, and the control groups and the plain / controlled
+margin-variance ratio under ``controls``. When every column is a
+control (two blocks, one of them at most 2x2), the verdict is exact and
+nothing is drawn. The Bernstein check stays uncontrolled: with f(X_11)
+and g(X_22) as controls its residual is carried by rare draws whenever
+a functional is nearly constant, and the sample variance misses them.
 
 Rerun rule: any Violated verdict, proved or not, is a candidate Monte
 Carlo false positive. The driver then runs the estimator once more at

@@ -77,6 +77,9 @@ _SIGMA_STREAM_BASE = 1 << 40
 # anchors of `count` scale instances, count * ROLE_STRIDE, must fit in 32.
 N_SAMPLES_CAP = ((CHUNK_DRAWS << 32) - 1) // 10
 COUNT_CAP = ((1 << 32) - 1) // ROLE_STRIDE
+# Cap on the total dimension p = sum(block_sizes). A chunk draws its
+# CHUNK_DRAWS * p(p-1)/2 normals at once, 260 MB at p = 32.
+P_CAP = 32
 
 CSV_COLUMNS = (
     "experiment_id",
@@ -213,7 +216,10 @@ def _matrix(val, where: str) -> list:
     rows = _list_of(_list_of(as_real))(val, where)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ConfigError(f"{where} must be a square matrix")
-    return as_symmetric(rows).tolist()
+    try:
+        return as_symmetric(rows).tolist()
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -470,7 +476,11 @@ CONFIG_FIELDS = {
     "schema_version": _Field(_int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
     "inequality_id": _Field(_one_of(KINDS)),
     "d": _Field(_int, admits=lambda d: d >= 1, want="a positive integer"),
-    "block_sizes": _Field(_list_of(_int), admits=lambda s: s and min(s) >= 1, want="a list of positive integers"),
+    "block_sizes": _Field(
+        _list_of(_int),
+        admits=lambda s: s and min(s) >= 1 and sum(s) <= P_CAP,
+        want=f"a list of positive integers summing to at most {P_CAP}",
+    ),
     "alpha": _Field(as_real),
     "sigma_source": _Field(_source),
     "n_samples": _Field(_int, admits=lambda n: 2 <= n <= N_SAMPLES_CAP, want=f"an integer in 2..{N_SAMPLES_CAP}"),
@@ -779,6 +789,7 @@ def _suite_oracles(log) -> list[tuple[str, bool, str]]:
     results.append(("zonal normalization sum == (trace)^k", ok, f"worst rel {worst:.2e}"))
 
     results.append(_pair_moment_oracle(gen))
+    results.append(_two_by_two_pair_oracle(gen))
 
     for name, ok_flag, detail in results:
         log(f"{'PASS' if ok_flag else 'FAIL'}  {name}  [{detail}]")
@@ -810,6 +821,50 @@ def _pair_moment_oracle(gen) -> tuple[str, bool, str]:
             want = minor_moment(model, 0, h) * minor_moment(model, 1, k) * hyp2f1(-h, -k, alpha / 2.0, rho2)
             worst = max(worst, abs(pair_moment(model, 0, 1, h, k) / want - 1.0))
     return ("two-block moment == marginals x scipy 2F1", worst < 1e-12, f"worst rel {worst:.2e}")
+
+
+def _two_by_two_pair_oracle(gen) -> tuple[str, bool, str]:
+    # The two-block moment with a 2x2 block against the zonal tables summed
+    # to weight 12 with the generalized Pochhammer symbols, times the
+    # closed-form marginals. Sigma carries squared canonical correlations
+    # x1, x2 <= 0.025 behind a random block-diagonal congruence, so the
+    # terms past weight 12 are below 1e-15 of the sum; one case per shape
+    # has x2 = 0 and one an integer h.
+    from math import factorial, prod
+
+    from .special import partitions_of, zonal_polynomial
+
+    def poch(a, kappa):
+        return prod(a - 0.5 * j + i for j, part in enumerate(kappa) for i in range(part))
+
+    cases = []
+    for sizes in ((2, 2), (2, 3), (3, 2)):
+        spec = BlockSpec(sizes)
+        for case in range(6):
+            alpha = float(gen.uniform(spec.total + 3.0, spec.total + 9.0))
+            x = np.sort(gen.uniform(0.0, 0.025, size=2))[::-1] * (1.0, case != 0)
+            core = np.eye(spec.total)
+            r0, r1 = spec.range(0), spec.range(1)
+            core[r0, r1][[0, 1], [0, 1]] = np.sqrt(x)
+            core[r1, r0] = core[r0, r1].T
+            D = direct_sum(*(np.tril(gen.uniform(-0.5, 0.5, (p, p)), -1) + np.diag(gen.uniform(0.7, 1.4, p))
+                             for p in sizes))
+            his = [0.5 * (alpha - p + 1) - 0.6 for p in sizes]
+            h = 2.0 if case == 1 else float(gen.uniform(-his[0], 2.5))
+            k = float(gen.uniform(-his[1], 2.5))
+            cases.append((WishartModel(alpha, D @ core @ D.T, spec), h, k, x))
+    kappas = [kappa for w in range(1, 13) for kappa in partitions_of(w, max_parts=2)]
+    zonal = {kappa: zonal_polynomial(kappa, np.array([x for *_, x in cases])) for kappa in kappas}
+    worst = 0.0
+    for i, (model, h, k, _) in enumerate(cases):
+        c = model.alpha / 2.0
+        series = 1.0 + sum(
+            poch(-h, kappa) * poch(-k, kappa) / (poch(c, kappa) * factorial(sum(kappa))) * zonal[kappa][i]
+            for kappa in kappas
+        )
+        want = minor_moment(model, 0, h) * minor_moment(model, 1, k) * series
+        worst = max(worst, abs(pair_moment(model, 0, 1, h, k) / want - 1.0))
+    return ("two-block moment, 2x2 block == marginals x zonal tables", worst < 1e-12, f"worst rel {worst:.2e}")
 
 
 def _mini_run(ineq: str, seed: int, **overrides) -> list[ReportRow]:

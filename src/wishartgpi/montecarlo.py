@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import CapExceeded, DegenerateEvent, DegenerateVariance, DomainError, InfiniteMoment
 from .wishart import (
+    PAIR_BLOCK_CAP,
     RngStream,
     WishartModel,
     _sample_batch,
@@ -408,9 +409,9 @@ class ProductColumns:
 def _known_mean(model: WishartModel, exps: ExponentVector, blocks, tilt: float):
     """Exact mean of the product over `blocks` when it may serve as a control.
 
-    It must have a closed form (one block, or a pair with a 1x1 block), and
-    its mean and its second moment under the estimator that runs must be
-    FiniteGuaranteed. That
+    It must have a closed form (one block, or a pair whose smaller block
+    has at most PAIR_BLOCK_CAP rows), and its mean and its second moment
+    under the estimator that runs must be FiniteGuaranteed. That
     estimator's column is K |X|^c prod |X_ii|^h_i under W(alpha - 2c), so
     its second moment is a constant times E_alpha |X|^c prod |X_ii|^(2 h_i),
     which Fischer's inequality |X| <= prod |X_ii| bounds by the product
@@ -457,11 +458,12 @@ def product_columns(
     column keeps its mean, and Fischer's inequality keeps
     prod |X_ii|^(-nu_i) |X|^c bounded as a block goes singular.
 
-    With `controls`, every single block and every pair of blocks with a
-    1x1 block whose exact mean qualifies (`_known_mean`) is appended as a
-    group, shared with an identical group already asked for, and so is
-    the tilt weight K |X|^c, whose mean is exactly 1; ``controls`` of the
-    result maps their columns to their exact means, the control variates
+    With `controls`, every single block and every pair of blocks whose
+    smaller block is at most 2x2 and whose exact mean qualifies
+    (`_known_mean`) is appended as a group, shared with an identical group
+    already asked for, and so is the tilt weight K |X|^c, whose mean is
+    exactly 1; ``controls`` of the result maps their columns to their
+    exact means, the control variates
     `_mc_verdicts` in `checks` takes. Otherwise it is empty.
     """
     if exps.d != model.d:
@@ -488,7 +490,7 @@ def product_columns(
     if controls:
         nonzero = [i for i in range(model.d) if exps.signed[i] != 0.0]
         sizes = model.spec.sizes
-        pairs = [(i, j) for i in nonzero for j in nonzero if i < j and 1 in (sizes[i], sizes[j])]
+        pairs = [(i, j) for i in nonzero for j in nonzero if i < j and min(sizes[i], sizes[j]) <= PAIR_BLOCK_CAP]
         for blocks in [(i,) for i in nonzero] + pairs:
             mu = _known_mean(model, exps, blocks, tilt)
             if mu is not None:

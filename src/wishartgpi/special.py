@@ -26,7 +26,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lgamma, log, pi, prod
+from math import factorial, isfinite, lgamma, log, pi, prod
 
 import numpy as np
 
@@ -49,9 +49,9 @@ _LOG_PI = log(pi)
 ZONAL_WEIGHT_CAP = 12
 EXPANSION_P_CAP = 5
 # The Gauss series stops once a bound on its remaining terms is below
-# HYP2F1_RTOL of the partial sum; past HYP2F1_TERM_CAP terms (x near 1)
-# it gives up. At x = 0.99 parameters below 3 in size need 150 to 1,500
-# terms, and at x = 0.999 a few thousand.
+# HYP2F1_RTOL of the partial sum; past HYP2F1_TERM_CAP terms per slice
+# (x1 near 1) it gives up. At x1 = 0.99 parameters below 3 in size need
+# about 3,300 terms, and at x1 = 0.999 about 33,000.
 HYP2F1_RTOL = 1e-14
 HYP2F1_TERM_CAP = 10_000
 
@@ -70,32 +70,108 @@ def log_mvgamma(p: int, nu: float) -> float:
     return 0.25 * p * (p - 1) * _LOG_PI + sum(lgamma(nu - 0.5 * j) for j in range(p))
 
 
-def hyp2f1_series(a: float, b: float, c: float, x: float) -> float:
-    """Gauss 2F1(a, b; c; x) = sum_n (a)_n (b)_n / ((c)_n n!) x^n for 0 <= x < 1, c > 0.
+def _ratio_products(a: float, b: float, c: float, d: float, x: float, n: int) -> np.ndarray:
+    """T_m = (a)_m (b)_m / ((c)_m (d)_m) x^m for m < n, with c, d > 0.
 
-    The terms are summed in float. Once n >= max(-a, -b, 0), every later
-    term ratio (a+m)(b+m) x / ((c+m)(m+1)) is at most
-    q = x max(1, (a+n)/(n+1)) max(1, (b+n)/(c+n)), since each factor is
-    monotone in m and tends to 1; the terms after t_n then sum to at most
-    |t_n| q / (1 - q). Summation stops when that bound is below
-    HYP2F1_RTOL of the partial sum, or at a zero term: at a nonpositive
-    integer a or b the series terminates, and at x = 0 it is exactly 1.
-    Raises CapExceeded when HYP2F1_TERM_CAP terms do not get there.
+    The ratios T_{m+1} / T_m are accumulated in log space with their
+    signs, so no partial product overflows or underflows on the way; a
+    zero ratio (a terminating Pochhammer, or x = 0) gives exact zeros.
     """
-    if not (0.0 <= x < 1.0 and c > 0.0):
-        raise DomainError(f"hyp2f1_series needs 0 <= x < 1 and c > 0, got x={x}, c={c}")
-    total, term = 1.0, 1.0
-    for n in range(HYP2F1_TERM_CAP):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * x
-        total += term
-        if term == 0.0:
-            return total
-        m = n + 1
-        if m >= -a and m >= -b:
-            q = x * max(1.0, (a + m) / (m + 1)) * max(1.0, (b + m) / (c + m))
-            if q < 1.0 and abs(term) * q / (1.0 - q) <= HYP2F1_RTOL * abs(total):
-                return total
-    raise CapExceeded(f"2F1({a}, {b}; {c}; {x}) not converged in {HYP2F1_TERM_CAP} terms")
+    m = np.arange(n - 1.0)
+    r = (a + m) * (b + m) / ((c + m) * (d + m)) * x
+    log_t = np.zeros(n)
+    np.cumsum(np.log(np.abs(r)), out=log_t[1:])
+    sign = np.ones(n)
+    np.cumprod(np.sign(r), out=sign[1:])
+    return sign * np.exp(log_t)
+
+
+def _hyp2f1_factors(a: float, b: float, c: float, x1: float, x2: float, n: int):
+    """Factors (u, v, w) of the terms of 2F1(a, b; c; diag(x1, x2)) with k1 < n.
+
+    The term of kappa = (k1, k2), k2 <= k1, is u[k2] v[k1] w[k1 - k2], with
+
+        u[m] = (a - 1/2)_m (b - 1/2)_m / ((c - 1/2)_m m!) x2^m,
+        v[m] = (a)_m (b)_m / ((c)_m (1/2)_m) x1^m / (2m + 1),
+        w[j] = (2j + 1) R_j(1, x2/x1),
+        R_j(s, t) = sum_i (1/2)_i (1/2)_(j-i) / (i! (j-i)!) s^(j-i) t^i.
+
+    That is (a)_kappa (b)_kappa / ((c)_kappa |kappa|!) C_kappa(x1, x2) with
+    (a)_kappa = (a)_k1 (a - 1/2)_k2 and the two-variable zonal polynomial
+    C_kappa(x1, x2) = C_kappa(I_2) (x1 x2)^k2 R_(k1-k2)(x1, x2), where
+    C_kappa(I_2) / |kappa|! = (2j + 1) / ((2 k1 + 1) (1/2)_k1 k2!)
+    (Muirhead 1982, Thm 7.2.7) and R_j(1, 1) = 1. R_j(x1, x2) is
+    (x1 x2)^(j/2) times the Legendre polynomial P_j at
+    (x1 + x2) / (2 sqrt(x1 x2)); its coefficients are positive, so it is
+    summed here as the convolution that defines it, without cancellation,
+    over the powers of x2/x1 that do not underflow.
+    """
+    # a zero ratio logs as -inf; a term past the float range becomes inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = _ratio_products(a - 0.5, b - 0.5, c - 0.5, 1.0, x2, n)
+        v = _ratio_products(a, b, c, 0.5, x1, n) / (2.0 * np.arange(n) + 1.0)
+        half = _ratio_products(0.5, 1.0, 1.0, 1.0, 1.0, n)
+        powers = _ratio_products(0.5, 1.0, 1.0, 1.0, x2 / x1, n)
+    powers = powers[: np.flatnonzero(powers)[-1] + 1]
+    w = (2.0 * np.arange(n) + 1.0) * np.convolve(half, powers)[:n]
+    return u, v, w
+
+
+def hyp2f1_series(a: float, b: float, c: float, x1: float, x2: float = 0.0) -> float:
+    """Gauss 2F1(a, b; c; X) of a matrix X with eigenvalues 1 > x1 >= x2 >= 0, for c > 1/2.
+
+    In the zonal normalization this is the sum over partitions kappa of
+    at most two parts of (a)_kappa (b)_kappa / ((c)_kappa |kappa|!)
+    C_kappa(X), with each term the product u[k2] v[k1] w[k1 - k2] of
+    `_hyp2f1_factors`. Ordered by k2, the sum is a sequence of slices;
+    slice k2 carries x2^k2, so at x2 = 0 only the slice k2 = 0 is left,
+    and it is the scalar Gauss series sum_n (a)_n (b)_n / ((c)_n n!) x1^n.
+    Each slice is summed over k1 < n at once, as a correlation of v with w.
+
+    Bound on what is left out, with M = n - 1 >= 1/2 - min(a, b):
+    - Along a slice, the term ratio is at most
+      q = x1 max(1, (a+M)/(M+1/2)) max(1, (b+M)/(c+M)) from k1 = M on,
+      since each factor of the Pochhammer ratio is monotone in k1 and
+      tends to 1, R_(j+1)(1, t) <= R_j(1, t) for t <= 1, and
+      (2j + 3)(2 k1 + 1) <= (2j + 1)(2 k1 + 3). A slice's terms past
+      k1 = M thus sum to at most q / (1 - q) times its term at M.
+    - The slice heads (k1 = k2) have ratios at most
+      Q = q x2 max(1, (a-1/2+M)/(M+1)) max(1, (b-1/2+M)/(c-1/2+M)) from
+      k2 = M on, so the slices past M sum to at most
+      |head at M| Q / ((1 - q)(1 - Q)).
+    Summation stops once both together are below HYP2F1_RTOL of the
+    sum; a series that terminates (a or b a nonpositive integer, or a
+    half-integer for the k2 > 0 slices) leaves exactly zero. Otherwise n
+    doubles, and past HYP2F1_TERM_CAP values of k1 (x1 near 1), or when
+    a partial sum overflows, it gives up with CapExceeded.
+    """
+    if not (1.0 > x1 >= x2 >= 0.0 and c > 0.5):
+        raise DomainError(f"hyp2f1_series needs 1 > x1 >= x2 >= 0 and c > 1/2, got x=({x1}, {x2}), c={c}")
+    if x1 == 0.0:
+        return 1.0
+    # x1^n reaches HYP2F1_RTOL (1 - x1) at this n; most series stop there
+    n = int(min(max(16.0, np.ceil(log(HYP2F1_RTOL * (1.0 - x1)) / log(x1)) + 16.0), HYP2F1_TERM_CAP))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            u, v, w = _hyp2f1_factors(a, b, c, x1, x2, n)
+            slices = np.flatnonzero(u)[-1] + 1
+            total = float(u[:slices] @ np.correlate(np.concatenate((v, np.zeros(slices - 1))), w, "valid"))
+            if not isfinite(total):
+                raise CapExceeded(f"2F1({a}, {b}; {c}; ({x1}, {x2})) overflows a float")
+            M = n - 1
+            if M >= 0.5 - min(a, b):
+                q = x1 * max(1.0, (a + M) / (M + 0.5)) * max(1.0, (b + M) / (c + M))
+                Q = q * x2 * max(1.0, (a - 0.5 + M) / (M + 1.0)) * max(1.0, (b - 0.5 + M) / (c - 0.5 + M))
+                if q < 1.0 and Q < 1.0:
+                    last = float(np.abs(u[:slices] * w[M - np.arange(slices)]).sum()) * abs(v[M])
+                    left = q / (1.0 - q) * last + abs(u[M] * v[M]) * Q / ((1.0 - q) * (1.0 - Q))
+                    if left <= HYP2F1_RTOL * abs(total):
+                        return total
+            if n == HYP2F1_TERM_CAP:
+                raise CapExceeded(
+                    f"2F1({a}, {b}; {c}; ({x1}, {x2})) not converged in {HYP2F1_TERM_CAP} terms per slice"
+                )
+            n = min(2 * n, HYP2F1_TERM_CAP)
 
 
 def _padded(kappa, m: int) -> list[int]:

@@ -60,6 +60,7 @@ __all__ = [
     "minor_moment",
     "log_minor_moment",
     "pair_moment",
+    "PAIR_BLOCK_CAP",
     "log_det_moment",
     "random_correlation",
     "sample_sphere",
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 _LOG_2 = log(2.0)
+# `pair_moment` has a closed form when the smaller block has at most this
+# many rows, so that P^2 has at most two eigenvalues.
+PAIR_BLOCK_CAP = 2
 # Share of a c below which a 2x2 determinant a c - b^2 goes through slogdet.
 _DET_GUARD = 1e-4
 # Relative eigenvalue gap and inverse condition below which a 3x3 draw
@@ -440,27 +444,33 @@ def minor_moment(model: WishartModel, i: int, nu: float) -> float:
 
 
 def pair_moment(model: WishartModel, i: int, j: int, h: float, k: float) -> float:
-    """E(|X_ii|^h |X_jj|^k) for two diagonal blocks, at least one of them 1x1.
+    """E(|X_ii|^h |X_jj|^k) for two diagonal blocks, the smaller at most PAIR_BLOCK_CAP x PAIR_BLOCK_CAP.
 
-    With s the 1x1 block and o the other, rho^2 = Sigma_so Sigma_oo^-1
-    Sigma_os / Sigma_ss is the squared multiple correlation, and
+    With s the smaller block (s = i on a tie) and o the other, let P^2 be
+    the squared canonical correlations between them: the eigenvalues of
+    W^-1 Sigma_so Sigma_oo^-1 Sigma_os W^-T, W = chol(Sigma_ss), clipped
+    at 0. Then
 
-        E|X_ii|^h |X_jj|^k = E|X_ii|^h * E|X_jj|^k * 2F1(-h, -k; alpha/2; rho^2)
+        E|X_ii|^h |X_jj|^k = E|X_ii|^h * E|X_jj|^k * 2F1(-h, -k; alpha/2; P^2)
 
-    (Constantine, Ann. Math. Statist. 34, 1963; Muirhead 1982, Ch. 7):
-    given X_oo, X_ss is a scaled noncentral chi-square, weighting by
-    |X_oo|^k turns W(alpha) into W(alpha + 2k), and a Pfaff transformation
-    leaves the scalar series, summed by `hyp2f1_series`. Raises
-    DomainError when neither block is 1x1 or a marginal moment diverges,
-    and CapExceeded when the series does not converge within its cap.
+    with 2F1 of matrix argument (Constantine, Ann. Math. Statist. 34,
+    1963; Muirhead 1982, Ch. 7), summed by `hyp2f1_series`: one or two
+    eigenvalues, since the smaller block has at most two rows. Whether a
+    pair qualifies depends on the block sizes alone, never on the rank of
+    P^2. Raises DomainError when neither block is small enough or a
+    marginal moment diverges, and CapExceeded when the series does not
+    converge within its cap.
     """
     sizes = model.spec.sizes
-    if i == j or 1 not in (sizes[i], sizes[j]):
-        raise DomainError(f"pair moment needs two distinct blocks, one of them 1x1; got {i}, {j}")
-    s, o = (i, j) if sizes[i] == 1 else (j, i)
-    cross = block_view(model.sigma, model.spec, o, s)[:, 0]
-    rho2 = float(cross @ np.linalg.solve(model.sigma_block(o), cross)) / float(model.sigma_block(s)[0, 0])
-    series = hyp2f1_series(-h, -k, model.alpha / 2.0, max(rho2, 0.0))
+    s, o = (i, j) if sizes[i] <= sizes[j] else (j, i)
+    if i == j or sizes[s] > PAIR_BLOCK_CAP:
+        raise DomainError(
+            f"pair moment needs two distinct blocks, one at most {PAIR_BLOCK_CAP}x{PAIR_BLOCK_CAP}; got {i}, {j}"
+        )
+    cross = np.linalg.solve(np.linalg.cholesky(model.sigma_block(s)), block_view(model.sigma, model.spec, s, o))
+    p2 = cross @ np.linalg.solve(model.sigma_block(o), cross.T)
+    x = np.maximum(np.linalg.eigvalsh((p2 + p2.T) / 2.0), 0.0)[::-1]
+    series = hyp2f1_series(-h, -k, model.alpha / 2.0, *(float(v) for v in x))
     return exp(log_minor_moment(model, i, h) + log_minor_moment(model, j, k)) * series
 
 

@@ -268,7 +268,7 @@ def test_criterion_07_opposite_inequalities_sweep():
 
 def _equality_undecided(v) -> bool:
     # At an equality a Monte Carlo z must not be decisive; an exact row
-    # (n = 1: two blocks, one of them 1x1) must meet it to rounding.
+    # (n = 1: two blocks, one of them at most 2x2) must meet it to rounding.
     if v.n == 1:
         return abs(v.margin) <= 1e-12 * abs(v.rhs)
     return abs(v.z) < 3

@@ -27,7 +27,7 @@ from wishartgpi.errors import (
     InfiniteMoment,
     UpperBoundUnavailable,
 )
-from wishartgpi.linalg import BlockSpec
+from wishartgpi.linalg import BlockSpec, direct_sum
 from wishartgpi.montecarlo import (
     ExponentVector,
     Finiteness,
@@ -410,10 +410,14 @@ def test_opposite_lower_rhs_closed_form_2x2():
 
 
 def test_opposite_lower_block_diagonal_equality():
+    # no coupling: shrink factor 1 and the sides share one value; blocks
+    # (2, 2) are an exact row, (2, 2, 1) draws
     m = WishartModel(8.0, np.eye(4), BlockSpec((2, 2)))
     v = opposite_gpi_lower(m, (1.0, 1.0), 50000, RngStream(1018))
-    # no coupling: shrink factor 1 and the sides share one value
-    assert abs(v.z) < 4.0
+    assert v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
+    m5 = WishartModel(8.0, np.eye(5), BlockSpec((2, 2, 1)))
+    v5 = opposite_gpi_lower(m5, (1.0, 1.0, 1.0), 50000, RngStream(1018))
+    assert v5.n == 50000 and abs(v5.z) < 4.0
 
 
 def test_opposite_lower_validation_and_finiteness():
@@ -436,13 +440,14 @@ def test_opposite_upper_holds_and_direction():
 
 
 def test_opposite_upper_block_diagonal_centered():
-    # blocks (2, 1) are an exact row; (2, 2) has no 1x1 block and draws
-    m = WishartModel(9.0, np.eye(3), BlockSpec((2, 1)))
-    v = opposite_gpi_upper(m, (1.0, 1.2), 50000, RngStream(1020))
-    assert v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
-    m4 = WishartModel(9.0, np.eye(4), BlockSpec((2, 2)))
-    v4 = opposite_gpi_upper(m4, (1.0, 1.2), 50000, RngStream(1020))
-    assert v4.n == 50000 and abs(v4.z) < 4.0
+    # blocks (2, 1) and (2, 2) are exact rows; (2, 1, 2) draws
+    for sizes in ((2, 1), (2, 2)):
+        m = WishartModel(9.0, np.eye(sum(sizes)), BlockSpec(sizes))
+        v = opposite_gpi_upper(m, (1.0, 1.2), 50000, RngStream(1020))
+        assert v.n == 1 and v.lhs == pytest.approx(v.rhs, rel=1e-14)
+    m5 = WishartModel(9.0, np.eye(5), BlockSpec((2, 1, 2)))
+    v5 = opposite_gpi_upper(m5, (1.0, 1.0, 1.2), 50000, RngStream(1020))
+    assert v5.n == 50000 and abs(v5.z) < 4.0
 
 
 # ---------------------------------------------------------------- elliptical
@@ -622,7 +627,7 @@ def _first_z(v) -> float:
 
 
 def _assert_exact(v):
-    # two blocks, one of them 1x1: every column has a closed-form mean
+    # two blocks, one of them at most 2x2: every column has a closed-form mean
     assert v.n == 1 and v.lhs_se == v.rhs_se == 0.0 and abs(v.z) == inf
 
 
@@ -710,5 +715,23 @@ def test_tilted_z_is_calibrated_at_a_correlated_scale_matrix():
     z = []
     for s in range(seeds):
         est = mc_product_moment(m, exps, n, RngStream(1110, s))
+        z.append((est.mean - exact) / est.stderr)
+    _assert_calibrated({"product moment": z})
+
+
+def test_tilted_z_is_calibrated_for_two_by_two_blocks_at_rank_two():
+    # Blocks (2, 2), alpha = 7, nu = (-1.5, -1.5): the plain estimator's
+    # second moment is infinite (2 nu >= alpha/2 - 1/2), the tilted one's
+    # bounded. Sigma has canonical correlations 0.6 and 0.3, so P^2 has
+    # rank 2, and the two-eigenvalue pair moment is the true value.
+    core = np.block([[np.eye(2), np.diag([0.6, 0.3])], [np.diag([0.6, 0.3]), np.eye(2)]])
+    D = direct_sum(np.array([[1.0, 0.0], [0.5, 1.2]]), np.array([[0.9, 0.3], [0.0, 1.1]]))
+    m = WishartModel(7.0, D @ core @ D.T, BlockSpec((2, 2)))
+    exps = ExponentVector((1.5, 1.5), (-1, -1))
+    exact = pair_moment(m, 0, 1, -1.5, -1.5)
+    seeds, n = 400, 2000
+    z = []
+    for s in range(seeds):
+        est = mc_product_moment(m, exps, n, RngStream(1111, s))
         z.append((est.mean - exact) / est.stderr)
     _assert_calibrated({"product moment": z})

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from wishartgpi.harness import (
     INEQUALITY_IDS,
     N_SAMPLES_CAP,
     KINDS,
+    P_CAP,
     SCHEMA_VERSION,
     ExperimentConfig,
     ReportRow,
@@ -633,6 +635,9 @@ def test_override_finiteness_reaches_run(tmp_path, capsys, ineq, how):
         sandwich_raw(sigma_source={"kind": "random", "count": HUGE}),
         sandwich_raw(n_samples=N_SAMPLES_CAP + 1),
         sandwich_raw(sigma_source={"kind": "random", "count": COUNT_CAP + 1}),
+        # the total dimension is capped: a chunk's normals grow as p^2
+        kind_raw("conj36", block_sizes=[1000000, 1], alpha=2000000.0, sigma_source={"kind": "random", "count": 1}),
+        kind_raw("conj36", block_sizes=[P_CAP, 1], alpha=P_CAP + 1.0, sigma_source={"kind": "random", "count": 1}),
         kind_raw("conj36", d=1, block_sizes=[2]),
         kind_raw("lt_order", d=1, block_sizes=[1], t_blocks=[[[0.5]]], sigma_source={"kind": "random", "count": 1}),
         kind_raw("conj36", inequality_id="eigen", d=1, block_sizes=[1], exponents={"values": [1.0], "signs": [1]},
@@ -724,9 +729,27 @@ def test_every_node_replaced_parses_or_is_refused_and_runs_to_a_strict_report(tm
 def test_parse_config_accepts_the_stream_caps():
     # the largest accepted values: a 10x rerun's last chunk index and the
     # last instance anchor still fit their 32 bits
+    top = kind_raw("conj36", block_sizes=[P_CAP - 1, 1], alpha=float(P_CAP), sigma_source={"kind": "random", "count": 1})
+    assert parse_config(top).block_sizes == (P_CAP - 1, 1)
     cfg = parse_config(sandwich_raw(n_samples=N_SAMPLES_CAP, sigma_source={"kind": "random", "count": COUNT_CAP}))
     assert -(-10 * cfg.n_samples // 65536) <= 2**32
     assert cfg.sigma_source["count"] * 1024 < 2**32
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        (sandwich_raw(sigma_source={"kind": "explicit", "matrix": [[1.0, 0.5], [0.4, 1.0]]}), "sigma_source.matrix"),
+        (kind_raw("lt_order", block_sizes=[1, 2], t_blocks=[[[0.5]], [[0.4, 0.1], [0.0, 0.2]]],
+                  sigma_source={"kind": "random", "count": 1}), "t_blocks[1]"),
+        (kind_raw("bernstein", block_sizes=[2, 2], alpha=6.0, sigma_source={"kind": "random", "count": 1},
+                  bernstein={"f": {"atoms": [[1.0, [[1.0, 0.2], [0.0, 1.0]]]]}, "g": {"atoms": []}}),
+         "bernstein.f.atoms[0][1]"),
+    ],
+)
+def test_an_asymmetric_matrix_is_refused_by_its_field(raw, field):
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: matrix is not symmetric")):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import exp, lgamma, prod
+from math import exp, factorial, lgamma, prod
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from scipy.special import multigammaln
 
 from wishartgpi.errors import CapExceeded, DomainError
 from wishartgpi.special import (
+    _hyp2f1_factors,
+    hyp2f1_series,
     log_mvgamma,
     log_partition_gamma_lower,
     log_partition_gamma_upper,
@@ -314,3 +316,73 @@ def test_zonal_polynomial_matches_exact_table_rows():
             for i in range(2):
                 assert zonal_polynomial(kappa, batch[i]) == pytest.approx(want[i], rel=1e-12)
                 assert got[i] == pytest.approx(want[i], rel=1e-12)
+
+
+# ------------------------------------------- Gauss series, two eigenvalues
+
+
+def _hyp2f1_term(a, b, c, kappa, x):
+    # (a)_kappa (b)_kappa / ((c)_kappa |kappa|!) C_kappa(x), from the tables
+    def poch(a):
+        return prod(a - 0.5 * j + i for j, part in enumerate(kappa) for i in range(part))
+
+    return poch(a) * poch(b) / (poch(c) * factorial(sum(kappa))) * zonal_polynomial(kappa, x)
+
+
+TWO_EIGENVALUE_CASES = [
+    (-0.7, 1.3, 3.5, 0.6, 0.3),
+    (1.2, -0.4, 2.5, 0.9, 0.9),
+    (-1.6, -2.3, 4.0, 0.45, 0.05),
+    (2.2, 0.8, 1.7, 0.3, 0.0),
+]
+
+
+@pytest.mark.parametrize("a, b, c, x1, x2", TWO_EIGENVALUE_CASES)
+def test_hyp2f1_terms_match_the_zonal_tables_to_weight_12(a, b, c, x1, x2):
+    # every term u[k2] v[k1] w[k1 - k2] against the exact zonal tables
+    u, v, w = _hyp2f1_factors(a, b, c, x1, x2, 13)
+    for k in range(13):
+        for kappa in partitions_of(k, max_parts=2):
+            k1, k2 = (kappa + (0, 0))[:2]
+            want = _hyp2f1_term(a, b, c, kappa, [x1, x2]) if kappa else 1.0
+            assert u[k2] * v[k1] * w[k1 - k2] == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_hyp2f1_series_is_the_scalar_series_at_x2_zero():
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, c, x in [(-0.7, 1.3, 3.5, 0.99), (2.2, -1.4, 4.5, 0.97), (0.5, 0.5, 1.0, 0.9), (-0.3, -0.8, 2.0, 0.2)]:
+        want = float(mpmath.hyp2f1(a, b, c, x))
+        assert hyp2f1_series(a, b, c, x) == hyp2f1_series(a, b, c, x, 0.0) == pytest.approx(want, rel=1e-13)
+    assert hyp2f1_series(0.7, -1.2, 3.0, 0.0, 0.0) == 1.0
+
+
+def test_hyp2f1_series_terminates_at_nonpositive_integers():
+    # (a)_kappa vanishes once k1 > -a, so the sum is the weight <= 2(-a) part
+    for a, b, c, x1, x2 in [(-2.0, 1.7, 3.5, 0.98, 0.9), (1.3, -3.0, 2.5, 0.6, 0.45), (-1.0, -1.0, 4.0, 0.99, 0.99)]:
+        top = int(-min(a, b))
+        want = 1.0 + sum(
+            _hyp2f1_term(a, b, c, kappa, [x1, x2])
+            for k in range(1, 2 * top + 1)
+            for kappa in partitions_of(k, max_parts=2)
+        )
+        assert hyp2f1_series(a, b, c, x1, x2) == pytest.approx(want, rel=1e-14)
+
+
+def test_hyp2f1_series_matches_the_zonal_sum_at_small_eigenvalues():
+    # at x1 + x2 = 0.05 the terms past weight 12 are below 1e-16 of the sum
+    for a, b, c, x1, x2 in TWO_EIGENVALUE_CASES:
+        x = [0.05 * x1 / (x1 + x2), 0.05 * x2 / (x1 + x2)]
+        want = 1.0 + sum(
+            _hyp2f1_term(a, b, c, kappa, x) for k in range(1, 13) for kappa in partitions_of(k, max_parts=2)
+        )
+        assert hyp2f1_series(a, b, c, *x) == pytest.approx(want, rel=1e-13)
+
+
+def test_hyp2f1_series_domain_and_cap():
+    for x1, x2, c in [(1.0, 0.0, 2.0), (0.3, 0.5, 2.0), (0.3, -0.1, 2.0), (0.5, 0.2, 0.5)]:
+        with pytest.raises(DomainError):
+            hyp2f1_series(0.5, 0.5, c, x1, x2)
+    # as x1 -> 1 the slices need more than the cap of terms
+    for x2 in (0.0, 0.5, 1.0 - 1e-9):
+        with pytest.raises(CapExceeded):
+            hyp2f1_series(0.5, 0.5, 1.0, 1.0 - 1e-9, x2)

@@ -227,7 +227,7 @@ def _rho2(m: WishartModel) -> float:
 
 
 def test_pair_moment_is_the_product_of_marginals_at_zero_correlation():
-    for sizes in ((1, 1), (1, 3), (2, 1)):
+    for sizes in ((1, 1), (1, 3), (2, 1), (2, 2), (3, 2)):
         sigma = direct_sum(*(pd_matrix(p, 20 + p) for p in sizes))
         m = WishartModel(7.5, sigma, BlockSpec(sizes))
         for h, k in ((-0.7, 1.3), (0.4, -1.1), (2.0, 2.5)):
@@ -263,9 +263,9 @@ def test_pair_moment_matches_scipy_hyp2f1():
 
 
 def test_pair_moment_refusals():
-    m = WishartModel(9.0, pd_matrix(4, 5), BlockSpec((2, 2)))
+    m = WishartModel(9.0, pd_matrix(6, 5), BlockSpec((3, 3)))
     with pytest.raises(DomainError):
-        pair_moment(m, 0, 1, 0.5, 0.5)  # no 1x1 block
+        pair_moment(m, 0, 1, 0.5, 0.5)  # no block of at most 2 rows
     m = WishartModel(5.0, pd_matrix(2, 5), BlockSpec((1, 1)))
     with pytest.raises(DomainError):
         pair_moment(m, 0, 1, -2.6, 0.5)  # E X_11^-2.6 diverges at alpha = 5
@@ -289,6 +289,60 @@ def test_pair_moment_matches_monte_carlo(sizes, alpha, h, k):
     scale = np.linspace(0.8, 1.4, p)
     m = WishartModel(alpha, np.outer(scale, scale) * (0.5 + 0.5 * np.eye(p)), BlockSpec(sizes))
     X = sample(m, RngStream(43, p), size=100000)
+    r0, r1 = m.spec.range(0), m.spec.range(1)
+    vals = np.linalg.det(X[:, r0, r0]) ** h * np.linalg.det(X[:, r1, r1]) ** k
+    se = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(vals.mean() - pair_moment(m, 0, 1, h, k)) < 4 * se
+
+
+def _canonical_sigma(rho, sizes, seed):
+    # canonical correlations rho between blocks of sizes (2, p2), behind a
+    # random block-diagonal congruence, which leaves them unchanged
+    p2 = sizes[1]
+    cross = np.zeros((2, p2))
+    cross[0, 0], cross[1, 1] = rho
+    core = np.block([[np.eye(2), cross], [cross.T, np.eye(p2)]])
+    gen = np.random.default_rng(seed)
+    D = direct_sum(*(np.tril(gen.uniform(-0.5, 0.5, (p, p)), -1) + np.diag(gen.uniform(0.7, 1.4, p)) for p in sizes))
+    return D @ core @ D.T
+
+
+def test_pair_moment_reduces_to_the_scalar_series_at_rank_one():
+    # one nonzero canonical correlation: the slices past k2 = 0 vanish
+    from scipy.special import hyp2f1
+
+    for sizes, h, k in (((2, 2), -0.8, 1.2), ((2, 3), 1.4, -0.6)):
+        m = WishartModel(7.5, _canonical_sigma((0.7, 0.0), sizes, 5), BlockSpec(sizes))
+        series = pair_moment(m, 0, 1, h, k) / exp(log_minor_moment(m, 0, h) + log_minor_moment(m, 1, k))
+        assert series == pytest.approx(hyp2f1(-h, -k, 7.5 / 2.0, 0.49), rel=1e-13)
+
+
+def test_pair_moment_terminates_at_integer_exponents_for_two_by_two_blocks():
+    # E|X_11| |X_22|^k: (-1)_kappa vanishes past kappa = (1, 1), so the
+    # series is 1 + 2 k tr(P^2) / alpha + 2 k (2 k + 1) x1 x2 / (alpha (alpha - 1))
+    rho = (0.8, 0.5)
+    x1, x2 = rho[0] ** 2, rho[1] ** 2
+    for sizes in ((2, 2), (2, 3)):
+        m = WishartModel(8.0, _canonical_sigma(rho, sizes, 9), BlockSpec(sizes))
+        for k in (-1.3, 0.6, 2.0):
+            poly = 1.0 + 2.0 * k * (x1 + x2) / 8.0 + 2.0 * k * (2.0 * k + 1.0) * x1 * x2 / (8.0 * 7.0)
+            want = minor_moment(m, 0, 1.0) * minor_moment(m, 1, k) * poly
+            assert pair_moment(m, 0, 1, 1.0, k) == pytest.approx(want, rel=1e-13)
+            assert pair_moment(m, 1, 0, k, 1.0) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "sizes, alpha, h, k",
+    [
+        ((2, 2), 7.0, -0.9, 1.2),
+        ((2, 2), 8.0, 1.3, 0.7),
+        ((2, 3), 8.0, 0.8, -1.1),
+        ((2, 3), 9.0, -1.2, -0.7),
+    ],
+)
+def test_pair_moment_matches_monte_carlo_at_rank_two(sizes, alpha, h, k):
+    m = WishartModel(alpha, _canonical_sigma((0.75, 0.45), sizes, 17), BlockSpec(sizes))
+    X = sample(m, RngStream(47, sum(sizes)), size=100000)
     r0, r1 = m.spec.range(0), m.spec.range(1)
     vals = np.linalg.det(X[:, r0, r0]) ** h * np.linalg.det(X[:, r1, r1]) ** k
     se = vals.std(ddof=1) / np.sqrt(vals.size)
