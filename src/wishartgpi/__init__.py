@@ -44,7 +44,6 @@ from .wishart import (
     pair_moment,
     random_correlation,
     sample,
-    sample_sphere,
 )
 from .montecarlo import (
     ExponentVector,
@@ -73,7 +72,6 @@ from .checks import (
     STATEMENTS,
     bernstein_pair_check,
     eigen_gpi_check,
-    elliptical_Q,
     elliptical_gpi_check,
     gpi_sandwich,
     lt_order_gap,

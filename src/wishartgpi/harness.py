@@ -425,7 +425,8 @@ KINDS = {
     ),
     "bernstein": Kind(
         _parse_bernstein,
-        lambda c, s, ks, o, **mc: {(None, ""): bernstein_pair_check(_model(c, s), *c.params, **mc)},
+        # exact: the check takes no draws and no stream
+        lambda c, s, ks, o, **mc: {(None, ""): bernstein_pair_check(_model(c, s), *c.params, c.z_threshold)},
         {"bernstein": _Field(_object({"f": _Field(_object(_FUNCTIONAL)), "g": _Field(_object(_FUNCTIONAL))}))},
         top=None,
     ),

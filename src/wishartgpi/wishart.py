@@ -63,7 +63,6 @@ __all__ = [
     "PAIR_BLOCK_CAP",
     "log_det_moment",
     "random_correlation",
-    "sample_sphere",
     "sphere_batch",
 ]
 
@@ -495,11 +494,3 @@ def sphere_batch(gen: np.random.Generator, m: int, d: int) -> np.ndarray:
     """m uniform draws on the unit sphere in R^d from `gen`, as an (m, d) array."""
     Z = gen.standard_normal((m, d))
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
-
-
-def sample_sphere(d: int, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Uniform draws on the unit sphere in R^d; (d,) or (size, d)."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    U = sphere_batch(rng.generator(), 1 if size is None else int(size), d)
-    return U[0] if size is None else U

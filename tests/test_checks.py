@@ -9,7 +9,6 @@ from wishartgpi.checks import (
     RadialSpec,
     bernstein_pair_check,
     eigen_gpi_check,
-    elliptical_Q,
     elliptical_gpi_check,
     gpi_sandwich,
     lt_order_gap,
@@ -36,7 +35,7 @@ from wishartgpi.montecarlo import (
     finiteness_classify,
     mc_product_moment,
 )
-from wishartgpi.wishart import RngStream, WishartModel, minor_moment, pair_moment, random_correlation
+from wishartgpi.wishart import RngStream, WishartModel, minor_moment, pair_moment, random_correlation, sample
 
 
 def corr2(rho):
@@ -363,32 +362,100 @@ def test_bernstein_expectation_matches_transform():
 
 
 def test_bernstein_constants_short_circuit():
+    # no atoms: both sides are tr(A1) tr(A2) and the gap sum is empty
     m = WishartModel(5.0, corr2(0.4), BlockSpec((1, 1)))
     f = BernsteinSpec(np.array([[1.5]]))
     g = BernsteinSpec(np.array([[0.7]]))
-    v = bernstein_pair_check(m, f, g, 100, RngStream(1014))
-    assert v.verdict == "Holds" and v.z == inf and v.detail["constant"]
+    v = bernstein_pair_check(m, f, g)
+    assert v.verdict == "Holds" and v.z == inf and v.n == 1
+    assert v.lhs == v.rhs == 1.5 * 0.7 and v.detail["gap"] == 0.0
 
 
 def test_bernstein_positive_coupling_holds():
     m = WishartModel(5.0, corr2(0.6), BlockSpec((1, 1)))
     f = BernsteinSpec(np.zeros((1, 1)), ((1.0, np.array([[0.7]])),))
     g = BernsteinSpec(np.zeros((1, 1)), ((1.0, np.array([[0.3]])),))
-    v = bernstein_pair_check(m, f, g, 60000, RngStream(1015))
-    assert v.verdict != "Violated"
-    assert v.rhs_se == 0.0  # decoupled side is exact
+    v = bernstein_pair_check(m, f, g)
+    assert v.verdict == "Holds" and v.z == inf and v.n == 1
+    assert v.lhs_se == v.rhs_se == 0.0 and v.detail["gap"] > 0.0
 
 
 def test_bernstein_independent_blocks_centered():
+    # block-diagonal scale matrix: every transform gap, and so the margin, is exactly 0
     m = WishartModel(5.0, np.eye(2), BlockSpec((1, 1)))
     f = BernsteinSpec(np.zeros((1, 1)), ((1.0, np.array([[0.7]])),))
     g = BernsteinSpec(np.zeros((1, 1)), ((1.0, np.array([[0.3]])),))
-    v = bernstein_pair_check(m, f, g, 60000, RngStream(1016))
-    assert abs(v.z) < 4.0
+    v = bernstein_pair_check(m, f, g)
+    assert v.margin == 0.0 and v.detail["gap"] == 0.0 and v.verdict == "Holds"
     with pytest.raises(ValueError):
-        bernstein_pair_check(WishartModel(5.0, np.eye(3), BlockSpec((1, 1, 1))), f, g, 100, RngStream(0))
+        bernstein_pair_check(WishartModel(5.0, np.eye(3), BlockSpec((1, 1, 1))), f, g)
     with pytest.raises(ValueError):
-        bernstein_pair_check(WishartModel(5.0, np.eye(3), BlockSpec((2, 1))), g, g, 100, RngStream(0))
+        bernstein_pair_check(WishartModel(5.0, np.eye(3), BlockSpec((2, 1))), g, g)
+
+
+def _bernstein_values(spec, X):
+    # tr(A) + sum_j c_j (1 - etr(-S_j X)) on a (m, p, p) batch
+    out = np.full(len(X), np.trace(spec.trace_offset))
+    for c, S in spec.atoms:
+        out += c * (1.0 - np.exp(-np.einsum("ij,nji->n", S, X)))
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (2, 2)])
+def test_bernstein_identity_matches_monte_carlo(sizes):
+    # the exact left side against a plain mean of f(X_11) g(X_22) over draws
+    p1, p = sizes[0], sum(sizes)
+    m = WishartModel(p + 2.0, random_correlation(p, RngStream(1030, p1 + p)), BlockSpec(sizes))
+    param = np.random.default_rng(1030 + p)
+
+    def spec(q):
+        atoms = []
+        for _ in range(2):
+            G = param.standard_normal((q, q))
+            atoms.append((float(param.uniform(0.5, 2.0)), 0.05 * (G @ G.T) + 0.01 * np.eye(q)))
+        return BernsteinSpec(0.4 * np.eye(q), tuple(atoms))
+
+    f, g = spec(sizes[0]), spec(sizes[1])
+    v = bernstein_pair_check(m, f, g)
+    X = sample(m, RngStream(1031, p), size=200000)
+    fg = _bernstein_values(f, X[:, :p1, :p1]) * _bernstein_values(g, X[:, p1:, p1:])
+    z = (fg.mean() - v.lhs) / (fg.std() / np.sqrt(len(fg)))
+    assert abs(z) < 4.0
+    # the draws resolve the coupling that the margin measures
+    assert v.verdict == "Holds" and v.margin > 4.0 * fg.std() / np.sqrt(len(fg))
+
+
+def test_bernstein_margin_agrees_with_mpmath():
+    # a weakly coupled (2, 2) shape whose margin is below 1e-5 of its sides:
+    # lhs - rhs = sum_jk c_j d_k [L(S_j + T_k) - L*(S_j + T_k)], with
+    # L(T) = |I + 2 T Sigma|^(-alpha/2), in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    sigma = np.eye(4)
+    sigma[:2, 2:] = [[0.02, -0.01], [0.015, 0.01]]
+    sigma[2:, :2] = sigma[:2, 2:].T
+    m = WishartModel(5.0, sigma, BlockSpec((2, 2)))
+    site = lambda off: np.array([[1.0, off], [off, 1.0]])
+    f = BernsteinSpec(np.zeros((2, 2)), ((0.5, site(0.2)),))
+    g = BernsteinSpec(np.zeros((2, 2)), ((1.5, site(-0.3)), (0.7, 0.4 * np.eye(2))))
+    v = bernstein_pair_check(m, f, g)
+
+    def lt(S, T, cross):
+        full = mpmath.matrix(sigma.tolist())
+        if not cross:
+            for i in range(2):
+                for j in range(2, 4):
+                    full[i, j] = full[j, i] = 0
+        arg = mpmath.matrix(direct_sum(S, T).tolist())
+        return mpmath.det(mpmath.eye(4) + 2 * arg * full) ** (-mpmath.mpf(5) / 2)
+
+    with mpmath.workdps(50):
+        want = sum(
+            mpmath.mpf(c) * mpmath.mpf(d) * (lt(S, T, True) - lt(S, T, False))
+            for c, S in f.atoms for d, T in g.atoms
+        )
+    assert 0.0 < v.detail["gap"] < 1e-5 * v.rhs
+    assert abs(v.detail["gap"] - float(want)) <= 1e-10 * float(want)
+    assert v.verdict == "Holds" and v.n == 1
 
 
 # ---------------------------------------------------------------- opposite pair
@@ -454,73 +521,41 @@ def test_opposite_upper_block_diagonal_centered():
 
 
 def test_elliptical_q_values():
-    assert elliptical_Q(2, (1.0, 1.0)) == 0.5
-    assert elliptical_Q(1, (2.5,)) == pytest.approx(1.0)
-    assert elliptical_Q(3, ()) == pytest.approx(1.0)
-    # Q <= 1 always
+    chisq = lambda d, alphas: radial_moment_ratio(RadialSpec("chisq"), alphas, d)
+    assert chisq(2, (1.0, 1.0)) == 0.5
+    assert chisq(1, (2.5,)) == 1.0
+    assert chisq(3, ()) == 1.0
+    # one active exponent is exactly 1; the full gamma ratio read 1 + 1 ulp here
+    assert chisq(3, (0.018356446164189282, 0.0, 0.0)) == 1.0
+    # Q <= 1 always, also where every exponent is tiny and the rounded
+    # gamma ratio reads up to 3072 ulps above 1
     rng = np.random.default_rng(7)
     for _ in range(25):
         d = int(rng.integers(1, 6))
         alphas = rng.uniform(0.0, 3.0, size=rng.integers(1, 5))
-        assert elliptical_Q(d, alphas) <= 1.0 + 1e-12
+        assert chisq(d, alphas) <= 1.0
+    for d in (3, 31, 32):
+        for a in (1e-13, 3e-11, 1e-10):
+            assert chisq(d, (a,) * d) <= 1.0
+    # 32 coordinates: Gamma(16)^31 overflows, so the ratio goes through log space
+    assert chisq(32, (0.1,) * 32) == pytest.approx(
+        exp(32 * lgamma(16.1) - lgamma(19.2) - 31 * lgamma(16.0)), rel=1e-12
+    )
     with pytest.raises(ValueError):
-        elliptical_Q(2, (-0.5, 1.0))
-    with pytest.raises(ValueError):
-        elliptical_Q(0, (1.0,))
+        chisq(2, (-0.5, 1.0))
 
 
 def test_radial_moment_ratio_exact_kinds():
-    chisq = radial_moment_ratio(RadialSpec("chisq", dof=2), (1.0, 1.0), 2)
-    assert chisq.mean == pytest.approx(0.5) and chisq.stderr == 0.0
-    point = radial_moment_ratio(RadialSpec("point", value=3.0), (1.0, 2.0), 2)
-    assert point.mean == 1.0 and point.stderr == 0.0
+    assert radial_moment_ratio(RadialSpec("chisq", dof=2), (1.0, 1.0), 2) == pytest.approx(0.5)
+    assert radial_moment_ratio(RadialSpec("point", value=3.0), (1.0, 2.0), 2) == 1.0
 
 
 def test_radial_moment_ratio_lognormal_closed_form():
     # E R^a = exp(a mu + a^2 s^2/2) gives Q = exp(-s^2 sum_{i<j} a_i a_j)
-    s = 0.4
-    est = radial_moment_ratio(
-        RadialSpec("lognormal", mu=0.1, sigma=s), (1.0, 1.0), 2, n=200000,
-        rng=RngStream(1021),
-    )
-    want = exp(-s * s * 1.0)
-    assert abs(est.mean - want) < 4 * est.stderr
-
-
-def test_radial_moment_ratio_is_one_estimator(monkeypatch):
-    import wishartgpi.checks as checks
-
-    calls = []
-    original = checks.mc_mean
-
-    def counting(draw, n, rng, columns=None):
-        calls.append(columns)
-        return original(draw, n, rng, columns)
-
-    monkeypatch.setattr(checks, "mc_mean", counting)
-    rspec = RadialSpec("lognormal", mu=0.0, sigma=0.5)
-    # distinct powers 0.5, 1.0 and the total 2.0 are the columns; zero is exact
-    radial_moment_ratio(rspec, (0.5, 0.5, 1.0, 0.0), 4, n=2000, rng=RngStream(1026))
-    assert calls == [3]
-    # one active power: numerator and denominator are the same column
-    one = radial_moment_ratio(rspec, (0.0, 1.5), 2, n=2000, rng=RngStream(1027))
-    assert one.mean == 1.0 and one.stderr == 0.0
-
-
-def test_radial_moment_ratio_z_is_calibrated():
-    # log Q = -s^2 sum_{i<j} a_i a_j exactly; the delta-method stderr on
-    # the common-draw columns must make (Q - true) / se standard normal
-    s, alphas = 0.5, (0.5, 0.5, 1.0)
-    want = exp(-s * s * (0.25 + 0.5 + 0.5))
-    z = [
-        (q.mean - want) / q.stderr
-        for q in (
-            radial_moment_ratio(RadialSpec("lognormal", sigma=s), alphas, 3, n=4000, rng=RngStream(1028, i))
-            for i in range(300)
-        )
-    ]
-    assert abs(np.mean(z)) < 0.2
-    assert 0.85 < np.std(z) < 1.15
+    for mu, s, alphas in [(0.1, 0.4, (1.0, 1.0)), (-0.3, 1.2, (0.5, 0.0, 1.5, 0.25)), (0.0, 0.1, (1.0, 1.0, 1.0))]:
+        cross = sum(a * b for i, a in enumerate(alphas) for b in alphas[i + 1 :])
+        got = radial_moment_ratio(RadialSpec("lognormal", mu=mu, sigma=s), alphas, len(alphas))
+        assert abs(got - exp(-s * s * cross)) <= 1e-15
 
 
 def test_radial_spec_validation_and_scaling():
@@ -594,9 +629,8 @@ def test_elliptical_one_active_coordinate_keeps_the_radial_anchor(monkeypatch):
     alphas, rspec = (0.0, 1.5, 0.0), RadialSpec("lognormal", mu=0.2, sigma=0.6)
     plan = StreamPlan(1029, 4 * 1024)
     v = elliptical_gpi_check(A, alphas, rspec, 2000, plan)
-    q = radial_moment_ratio(rspec, alphas, 3, 2000, plan)
     assert calls == [] and plan.allocated == 0
-    assert q.mean == 1.0 and q.stderr == 0.0 and q.n == 1
+    assert radial_moment_ratio(rspec, alphas, 3) == 1.0
     assert v.lhs == 1.0 and v.rhs == 1.0 and v.rhs_se == 0.0 and v.detail["q_r"] == 1.0
     assert v.verdict == "Holds" and v.n == 1
 
@@ -610,12 +644,15 @@ def test_elliptical_one_active_power_never_refuses_a_cancelled_moment():
     assert v.verdict == "Holds" and v.lhs == 1.0 and v.rhs == 1.0 and v.n == 1
 
 
-def test_elliptical_lognormal_heavy_tail_refused():
-    with pytest.raises(InfiniteMoment):
-        radial_moment_ratio(
-            RadialSpec("lognormal", mu=0.0, sigma=4.0), (3.0, 3.0), 2, n=5000,
-            rng=RngStream(1025),
-        )
+def test_elliptical_lognormal_heavy_tail_is_exact():
+    # every lognormal moment is finite, however spread the law, and so is Q_R
+    assert radial_moment_ratio(RadialSpec("lognormal", sigma=4.0), (3.0, 3.0), 2) == exp(-144.0)
+    # exp(-1600) underflows to 0: the row holds, with the ratio to Q_R infinite
+    v = elliptical_gpi_check(
+        np.eye(2), (10.0, 10.0), RadialSpec("lognormal", sigma=4.0), 5000, RngStream(1025)
+    )
+    assert v.rhs == 0.0 and v.rhs_se == 0.0 and v.verdict == "Holds"
+    assert v.detail["q_r"] == 0.0 and v.detail["lhs_over_q"] == inf
 
 
 # ---------------------------------------------------------------- calibration

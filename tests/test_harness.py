@@ -649,6 +649,28 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, raw):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "elliptical",
+    [
+        # one active exponent, where the chisq gamma ratio over every
+        # exponent read 1 + 1 ulp: above 1 at a zero stderr
+        {"alphas": [0.018356446164189282, 0, 0], "radial": {"kind": "chisq"}},
+        # three tiny exponents: the gamma ratio rounds to 1 + 5 ulps
+        {"alphas": [1e-10, 1e-10, 1e-10], "radial": {"kind": "chisq"}},
+        # Q_R = exp(-1600) and exp(-160000): finite, but 0 in floats
+        {"alphas": [10, 10], "radial": {"kind": "lognormal", "mu": 0.0, "sigma": 4.0}},
+        {"alphas": [10, 10], "radial": {"kind": "lognormal", "mu": 0.0, "sigma": 40.0}},
+    ],
+)
+def test_cli_exact_radial_ratios_run_to_a_strict_report(tmp_path, elliptical):
+    d = len(elliptical["alphas"])
+    raw = kind_raw("elliptical", d=d, block_sizes=[1] * d, sigma_source={"kind": "random", "count": 1},
+                   elliptical=elliptical)
+    assert _cli_run(tmp_path, raw) == 0
+    (row,) = _strict_json(tmp_path / "out.json")["rows"]
+    assert row["rhs_se"] == 0.0 and row["detail"]["q_r"] <= 1.0 and row["verdict"] != "Violated"
+
+
 def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"report holds the non-JSON constant {constant}")
@@ -876,7 +898,6 @@ FORCED = {
     "sandwich": (three_block_raw("sandwich"), 1, [0]),
     "opp_upper": (three_block_raw("opp_upper"), 1, [0, 1]),
     "eigen": (three_block_raw("eigen"), 2, [1]),
-    "bernstein": (kind_raw("bernstein"), 1, [0]),
 }
 
 
@@ -902,13 +923,11 @@ def test_forced_candidate_reruns_once_and_replaces_only_its_row(monkeypatch, ine
     monkeypatch.setattr(checks, "mc_mean", counting)
     monkeypatch.setattr(checks, "verdict_from", forced)
     rows = run(parse_config(raw))
-    # the elliptical check draws its sphere estimator, then its radial one
-    per_pass = 2 if ineq == "elliptical" else 1
-    proved = ineq in ("sandwich", "opp_upper", "eigen", "bernstein")
+    proved = ineq in ("sandwich", "opp_upper", "eigen")
     assert {r.status for r in rows} <= ({"proved"} if proved else {"open", "conditional"})
     # proved or not, one rerun at 10x n estimates every key again; only
     # the candidate is replaced
-    assert estimators == [3000] * per_pass + [30000] * per_pass
+    assert estimators == [3000, 30000]
     keys = len(verdicts) // 2
     assert verdicts == [3000] * keys + [30000] * keys
     for i, r in enumerate(rows):
@@ -941,7 +960,7 @@ def test_proved_equality_violated_by_chance_reruns_and_exits_0(tmp_path, capsys,
     assert row["detail"]["candidate_rerun"]["first_z"] < -3
 
 
-@pytest.mark.parametrize("ineq", ["sandwich", "opp_upper", "eigen", "bernstein"])
+@pytest.mark.parametrize("ineq", ["sandwich", "opp_upper", "eigen"])
 def test_proved_statement_violated_in_both_passes_exits_2(monkeypatch, ineq):
     import wishartgpi.checks as checks
 

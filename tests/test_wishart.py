@@ -19,7 +19,6 @@ from wishartgpi.wishart import (
     pair_moment,
     random_correlation,
     sample,
-    sample_sphere,
     sphere_batch,
 )
 
@@ -360,12 +359,8 @@ def test_random_correlation_properties():
         assert np.linalg.eigvalsh(C)[0] > 0
 
 
-def test_sample_sphere_unit_norm_and_mean():
-    u = sample_sphere(4, RngStream(8), size=20000)
+def test_sphere_batch_unit_norm_and_mean():
+    u = sphere_batch(RngStream(8).generator(), 20000, 4)
     assert u.shape == (20000, 4)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
     assert np.all(np.abs(u.mean(axis=0)) < 4 / np.sqrt(20000))
-    one = sample_sphere(3, RngStream(8))
-    assert one.shape == (3,)
-    # the stream-level sampler is the generator-level one on a fresh generator
-    assert np.array_equal(u, sphere_batch(RngStream(8).generator(), 20000, 4))
