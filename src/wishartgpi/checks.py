@@ -39,7 +39,7 @@ passes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import exp, gamma, hypot, inf, lgamma, log, prod
+from math import exp, gamma, hypot, inf, lgamma, log, log1p, prod
 
 import numpy as np
 
@@ -103,12 +103,13 @@ STATEMENTS = {
 }
 
 
-def proved_status(inequality_id: str, d: int, block_sizes, radial_kind: str | None = None) -> str:
+def proved_status(inequality_id: str, d: int, block_sizes, radial: RadialSpec | None = None) -> str:
     """Whether the inequality is proved, open, or conditional for this shape.
 
-    The elliptical variant is a theorem only in the Gaussian case
-    (chi-square radial) at d <= 2; any other radial turns it into a
-    claim about that specific elliptical law, which can genuinely fail.
+    The elliptical variant is a theorem only in the Gaussian case at
+    d <= 2: a chi-square radial with d degrees of freedom. Any other
+    radial, a chi-square of another dof included, turns it into a claim
+    about that specific elliptical law, which can genuinely fail.
     """
     if inequality_id in ("lt_order", "sandwich", "opp_upper", "bernstein", "eigen"):
         return "proved"
@@ -119,7 +120,8 @@ def proved_status(inequality_id: str, d: int, block_sizes, radial_kind: str | No
     if inequality_id == "opp_lower":
         return "proved" if d <= 2 else "conditional"
     if inequality_id == "elliptical":
-        return "proved" if d <= 2 and radial_kind == "chisq" else "open"
+        gaussian = radial is not None and radial.kind == "chisq" and radial.dof in (None, d)
+        return "proved" if d <= 2 and gaussian else "open"
     raise KeyError(f"unknown inequality id {inequality_id!r}")
 
 
@@ -171,8 +173,9 @@ def verdict_from(
     and their stderrs pool. Holds needs a nonnegative oriented margin at
     least z_threshold margin stderrs wide; Violated needs the margin
     negative by the same width; everything else is Inconclusive. A zero
-    margin stderr (exact-vs-exact) uses a 1e-10 relative tolerance and
-    the z = +-inf convention.
+    margin stderr (exact-vs-exact) uses a tolerance of 1e-10 of the larger
+    side, relative only, so sides of any scale compare alike, and the
+    z = +-inf convention.
     """
     if direction not in (">=", "<="):
         raise ValueError(f"direction must be '>=' or '<=', got {direction!r}")
@@ -180,7 +183,7 @@ def verdict_from(
     margin = a.mean - b.mean if direction == ">=" else b.mean - a.mean
     se = _margin_se(a, b, margin_se)
     if se == 0.0:
-        tol = 1e-10 * max(1.0, abs(a.mean), abs(b.mean))
+        tol = 1e-10 * max(abs(a.mean), abs(b.mean))
         ok = margin >= -tol
         z = inf if ok else -inf
         word = "Holds" if ok else "Violated"
@@ -830,11 +833,28 @@ def _gamma_moment_ratio(h: float, alphas) -> float:
         return prod(gamma(h + a) for a in alphas) / (
             gamma(h + total) * gamma(h) ** (len(alphas) - 1)
         )
-    return exp(
-        sum(lgamma(h + a) for a in alphas)
-        - lgamma(h + total)
-        - (len(alphas) - 1) * lgamma(h)
-    )
+    if h < 10.0:
+        return exp(
+            sum(lgamma(h + a) for a in alphas)
+            - lgamma(h + total)
+            - (len(alphas) - 1) * lgamma(h)
+        )
+    # From h = 10 on, lgamma(h) grows like h log h, and differences of such
+    # terms lose the digits of a ratio near 1. Each factor is taken as
+    # log Gamma(h + a) - log Gamma(h) - a log h
+    #   = (h + a - 1/2) log1p(a/h) - a + mu(h + a) - mu(h),
+    # with mu Binet's remainder; the a log h cancel across the ratio.
+    def shift(a):
+        return (h + a - 0.5) * log1p(a / h) - a + _binet(h + a) - _binet(h)
+
+    return exp(sum(shift(a) for a in alphas) - shift(total))
+
+
+def _binet(x: float) -> float:
+    # mu(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 for x >= 10,
+    # by Stirling's series to x^-11; the next term is below 7e-16
+    t = 1.0 / (x * x)
+    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * 691 / 360360))))) / x
 
 
 def elliptical_gpi_check(
@@ -860,7 +880,7 @@ def elliptical_gpi_check(
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) != d or any(a < 0 for a in alphas):
         raise ValueError("need one exponent >= 0 per coordinate")
-    status = proved_status("elliptical", d, (1,) * d, radial_kind=rspec.kind)
+    status = proved_status("elliptical", d, (1,) * d, rspec)
     q = radial_moment_ratio(rspec, alphas, d)
     active = [i for i in range(d) if alphas[i] != 0.0]
     cols = PowerProducts([2.0 * a for a in alphas], [active] + [[i] for i in active])

@@ -1,20 +1,20 @@
 """Multivariate gamma functions, integer partitions, and zonal polynomials.
 
 Zonal polynomials use the normalization in which the ones of a given
-weight k sum to ``(tr X)**k``. Their coefficients in the monomial
-symmetric functions m_lam are built once per weight in exact rational
-arithmetic and memoized; they do not depend on the number of variables,
-so that table is keyed by weight alone. Evaluation in p variables uses a
-second memoized table per (weight, p): the distinct exponent vectors of
-every m_lam with at most p parts, stacked, and each C_kappa's float
-coefficient row. One spectrum (or a batch) then takes one power-product
-over the stacked exponents, a segmented sum into the m_lam, and a dot
-product with the row.
+weight k sum to ``(tr X)**k``. One memoized table per (weight k,
+variables m) holds them: the coefficients in the monomial symmetric
+functions m_lam of every C_kappa with at most m parts, built in exact
+rational arithmetic over those partitions only (no other row feeds
+them), each C_kappa's float coefficient row, and, from the first
+evaluation on, the distinct exponent vectors of each m_lam in m
+variables, stacked. One spectrum (or a batch) then takes one
+power-product over the stacked exponents, a segmented sum into the
+m_lam, and a dot product with the row.
 
 The expansion of prod_{i<j}(x_i + x_j) in zonal polynomials is exact as
 well: the product is multiplied out into integer monomial coefficients
-and solved against the weight-p(p-1)/2 table by substitution down the
-dominance order, in rational arithmetic.
+and solved against the table of weight p(p-1)/2 in p variables by
+substitution down the dominance order, in rational arithmetic.
 
 The scalar Gauss series 2F1(a, b; c; x) is summed in float, with a
 proved geometric bound on the terms left out.
@@ -22,11 +22,13 @@ proved geometric bound on the terms left out.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import factorial, isfinite, lgamma, log, pi, prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -268,22 +270,66 @@ def _moves(lam):
                 yield lam[i] - lam[j] + 2 * t, mu
 
 
+def _distinct_permutations(vec: tuple[int, ...]) -> list[tuple[int, ...]]:
+    if not vec:
+        return [()]
+    out = []
+    for v in sorted(set(vec), reverse=True):
+        rest = list(vec)
+        rest.remove(v)
+        out.extend((v,) + tail for tail in _distinct_permutations(tuple(rest)))
+    return out
+
+
 @dataclass(frozen=True)
 class ZonalTable:
-    """Monomial-basis coefficients of all zonal polynomials of one weight.
+    """The zonal polynomials of weight k in m variables, in the monomial basis.
 
-    ``coeffs[kappa][lam]`` is the (exact rational) coefficient of the
-    monomial symmetric function m_lam in C_kappa. ``order`` lists the
-    partitions of the weight in reverse-lexicographic order.
+    ``order`` lists the partitions of k with at most m parts in
+    reverse-lexicographic order, and ``coeffs[kappa][lam]`` is the exact
+    rational coefficient of the monomial symmetric function m_lam in
+    C_kappa; ``rows[kappa]`` is C_kappa's float coefficient on each m_lam.
+    ``monomials`` is built on first use, because a caller that reads only
+    coefficients would otherwise pay for every monomial of degree k in m
+    variables: it is the pair (exponents, starts), where exponents stacks
+    the distinct exponent vectors of every m_lam, lam by lam in order,
+    and starts holds the row where each lam begins, so m_lam(x) is the
+    sum of x**e over its rows.
     """
 
     k: int
+    m: int
     order: tuple[tuple[int, ...], ...]
     coeffs: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]
+    rows: dict[tuple[int, ...], np.ndarray]
+
+    @cached_property
+    def monomials(self) -> tuple[np.ndarray, np.ndarray]:
+        exponents, starts = [], []
+        for lam in self.order:
+            starts.append(len(exponents))
+            exponents.extend(_distinct_permutations(lam + (0,) * (self.m - len(lam))))
+        return np.array(exponents, dtype=np.int64).reshape(-1, self.m), np.array(starts, dtype=np.intp)
 
 
-def _build_table(k: int) -> ZonalTable:
-    parts = partitions_of(k)
+@cache
+def zonal_table(k: int, m: int) -> ZonalTable:
+    """Memoized zonal table of weight k in m variables (weight cap ZONAL_WEIGHT_CAP).
+
+    Only the partitions with at most m parts enter: a move of the
+    recurrence never adds a part, and C_kappa involves only the m_lam
+    with lam dominated by kappa, so these rows depend only on each other
+    and equal the rows of the full table. An m above k keeps every
+    partition, so its rows are those of m = k.
+    """
+    k, m = int(k), int(m)
+    if k < 0:
+        raise DomainError(f"weight must be >= 0, got {k}")
+    if m < 1:
+        raise DomainError(f"number of variables must be >= 1, got {m}")
+    if k > ZONAL_WEIGHT_CAP:
+        raise CapExceeded(f"zonal weight {k} exceeds cap {ZONAL_WEIGHT_CAP}")
+    parts = partitions_of(k, m)
     monic: dict[tuple, dict[tuple, Fraction]] = {}
     for a, kappa in enumerate(parts):
         row = {kappa: Fraction(1)}
@@ -316,83 +362,8 @@ def _build_table(k: int) -> ZonalTable:
         kappa: {lam: scale[kappa] * c for lam, c in row.items()}
         for kappa, row in monic.items()
     }
-    return ZonalTable(k=k, order=tuple(parts), coeffs=coeffs)
-
-
-_TABLE_CACHE: dict[int, ZonalTable] = {}
-_TABLE_LOCK = threading.Lock()
-
-
-def zonal_table(k: int) -> ZonalTable:
-    """Memoized zonal coefficient table for weight k (cap ZONAL_WEIGHT_CAP)."""
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"weight must be >= 0, got {k}")
-    if k > ZONAL_WEIGHT_CAP:
-        raise CapExceeded(f"zonal weight {k} exceeds cap {ZONAL_WEIGHT_CAP}")
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(k)
-        if table is None:
-            table = _build_table(k)
-            _TABLE_CACHE[k] = table
-        return table
-
-
-@dataclass(frozen=True)
-class _MonomialBasis:
-    """Monomial symmetric functions of one weight in p variables.
-
-    ``exponents`` stacks the distinct exponent vectors of every partition
-    lam of the weight with at most p parts, lam by lam in table order;
-    ``starts`` holds the row where each lam begins, so m_lam(x) is the sum
-    of x**e over its rows. ``rows[kappa]`` is C_kappa's float coefficient
-    on each m_lam, taken from the exact table.
-    """
-
-    exponents: np.ndarray
-    starts: np.ndarray
-    rows: dict[tuple[int, ...], np.ndarray]
-
-
-def _distinct_permutations(vec: tuple[int, ...]) -> list[tuple[int, ...]]:
-    if not vec:
-        return [()]
-    out = []
-    for v in sorted(set(vec), reverse=True):
-        rest = list(vec)
-        rest.remove(v)
-        out.extend((v,) + tail for tail in _distinct_permutations(tuple(rest)))
-    return out
-
-
-def _build_basis(table: ZonalTable, p: int) -> _MonomialBasis:
-    lams = [lam for lam in table.order if len(lam) <= p]
-    exponents, starts = [], []
-    for lam in lams:
-        starts.append(len(exponents))
-        exponents.extend(_distinct_permutations(lam + (0,) * (p - len(lam))))
-    rows = {
-        kappa: np.array([float(table.coeffs[kappa].get(lam, 0)) for lam in lams])
-        for kappa in lams
-    }
-    return _MonomialBasis(
-        exponents=np.array(exponents, dtype=np.int64).reshape(-1, p),
-        starts=np.array(starts, dtype=np.intp),
-        rows=rows,
-    )
-
-
-_BASIS_CACHE: dict[tuple[int, int], _MonomialBasis] = {}
-
-
-def _monomial_basis(k: int, p: int) -> _MonomialBasis:
-    table = zonal_table(k)
-    with _TABLE_LOCK:
-        basis = _BASIS_CACHE.get((k, p))
-        if basis is None:
-            basis = _build_basis(table, p)
-            _BASIS_CACHE[(k, p)] = basis
-        return basis
+    rows = {kappa: np.array([float(coeffs[kappa].get(lam, 0)) for lam in parts]) for kappa in parts}
+    return ZonalTable(k=k, m=m, order=tuple(parts), coeffs=coeffs, rows=rows)
 
 
 def zonal_polynomial(kappa, eigenvalues) -> float | np.ndarray:
@@ -417,9 +388,10 @@ def zonal_polynomial(kappa, eigenvalues) -> float | np.ndarray:
     p = x.shape[-1]
     if len(kappa) > p:
         raise DomainError(f"partition {kappa} has more parts than variables ({p})")
-    basis = _monomial_basis(sum(kappa), p)
-    terms = np.prod(x[..., None, :] ** basis.exponents, axis=-1)
-    out = np.add.reduceat(terms, basis.starts, axis=-1) @ basis.rows[kappa]
+    table = zonal_table(sum(kappa), p)
+    exponents, starts = table.monomials
+    terms = np.prod(x[..., None, :] ** exponents, axis=-1)
+    out = np.add.reduceat(terms, starts, axis=-1) @ table.rows[kappa]
     return float(out) if scalar else out
 
 
@@ -438,11 +410,8 @@ def _pair_product_monomials(p: int) -> Counter:
     return poly
 
 
-_EXPANSION_CACHE: dict[int, dict[tuple[int, ...], float]] = {}
-_EXPANSION_LOCK = threading.Lock()
-
-
-def zonal_expansion_coefficients(p: int, cap: int = EXPANSION_P_CAP) -> dict[tuple[int, ...], float]:
+@cache
+def zonal_expansion_coefficients(p: int) -> Mapping[tuple[int, ...], float]:
     """Coefficients a_kappa with prod_{i<j}(x_i + x_j) = sum_kappa a_kappa C_kappa(x).
 
     The product over the p(p-1)/2 unordered pairs of eigenvalues is the
@@ -453,23 +422,19 @@ def zonal_expansion_coefficients(p: int, cap: int = EXPANSION_P_CAP) -> dict[tup
     m_lam with lam dominated by kappa, the a_kappa follow exactly in
     rational arithmetic by substitution down the table order. Every
     partition is a key; those whose exact coefficient is zero map to 0.0.
+    The memoized mapping is read-only.
     """
     p = int(p)
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if p > cap:
-        raise CapExceeded(f"p={p} exceeds expansion cap {cap}")
-    with _EXPANSION_LOCK:
-        cached = _EXPANSION_CACHE.get(p)
-        if cached is None:
-            table = zonal_table(p * (p - 1) // 2)
-            target = _pair_product_monomials(p)
-            exact: dict[tuple[int, ...], Fraction] = {}
-            for lam in (lam for lam in table.order if len(lam) <= p):
-                t = Fraction(target[lam + (0,) * (p - len(lam))])
-                for kappa, a in exact.items():
-                    t -= a * table.coeffs[kappa].get(lam, 0)
-                exact[lam] = t / table.coeffs[lam][lam]
-            cached = {kappa: float(a) for kappa, a in exact.items()}
-            _EXPANSION_CACHE[p] = cached
-        return dict(cached)
+    if p > EXPANSION_P_CAP:
+        raise CapExceeded(f"p={p} exceeds expansion cap {EXPANSION_P_CAP}")
+    table = zonal_table(p * (p - 1) // 2, p)
+    target = _pair_product_monomials(p)
+    exact: dict[tuple[int, ...], Fraction] = {}
+    for lam in table.order:
+        t = Fraction(target[lam + (0,) * (p - len(lam))])
+        for kappa, a in exact.items():
+            t -= a * table.coeffs[kappa].get(lam, 0)
+        exact[lam] = t / table.coeffs[lam][lam]
+    return MappingProxyType({kappa: float(a) for kappa, a in exact.items()})

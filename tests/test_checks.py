@@ -75,6 +75,10 @@ def test_verdict_from_exact_path():
     assert tie.verdict == "Holds" and tie.z == inf
     broken = verdict_from(2.0, 2.1)
     assert broken.verdict == "Violated" and broken.z == -inf
+    # the tolerance is relative only: tiny sides compare at their own scale
+    assert verdict_from(1e-20, 2e-20).verdict == "Violated"
+    assert verdict_from(1e-20, 1e-20 * (1.0 + 1e-12)).verdict == "Holds"
+    assert verdict_from(0.0, 0.0).verdict == "Holds"
     with pytest.raises(ValueError):
         verdict_from(1.0, 1.0, direction="==")
 
@@ -102,9 +106,15 @@ def test_proved_status_table():
     assert proved_status("conj36", 2, (2, 1)) == "open"
     assert proved_status("opp_lower", 2, (2, 2)) == "proved"
     assert proved_status("opp_lower", 3, (1, 1, 1)) == "conditional"
-    assert proved_status("elliptical", 2, (1, 1), radial_kind="chisq") == "proved"
-    assert proved_status("elliptical", 3, (1, 1, 1), radial_kind="chisq") == "open"
-    assert proved_status("elliptical", 2, (1, 1), radial_kind="point") == "open"
+    assert proved_status("elliptical", 2, (1, 1), RadialSpec("chisq")) == "proved"
+    assert proved_status("elliptical", 2, (1, 1), RadialSpec("chisq", dof=2)) == "proved"
+    assert proved_status("elliptical", 1, (1,), RadialSpec("chisq", dof=1.0)) == "proved"
+    # another dof is a different elliptical law, not the Gaussian theorem
+    assert proved_status("elliptical", 2, (1, 1), RadialSpec("chisq", dof=1e6)) == "open"
+    assert proved_status("elliptical", 2, (1, 1), RadialSpec("chisq", dof=3)) == "open"
+    assert proved_status("elliptical", 3, (1, 1, 1), RadialSpec("chisq")) == "open"
+    assert proved_status("elliptical", 2, (1, 1), RadialSpec("point", value=1.0)) == "open"
+    assert proved_status("elliptical", 2, (1, 1)) == "open"
     with pytest.raises(KeyError):
         proved_status("nope", 2, (1, 1))
 
@@ -543,6 +553,29 @@ def test_elliptical_q_values():
     )
     with pytest.raises(ValueError):
         chisq(2, (-0.5, 1.0))
+
+
+def test_chisq_ratio_in_log_space_keeps_its_digits():
+    # dof = 2h = 1e6: the log-space branch read 0.99999799952 against h/(h+1)
+    h = 5e5
+    got = radial_moment_ratio(RadialSpec("chisq", dof=2 * h), (1.0, 1.0), 2)
+    assert got == pytest.approx(h / (h + 1.0), rel=1e-15)
+
+
+def test_chisq_ratio_in_log_space_matches_mpmath():
+    # from h = dof/2 = 1000 on, |log Gamma(h)| > 5000 puts every ratio in log space
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(26)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            h = float(10.0 ** rng.uniform(3.0, 9.0))
+            alphas = [float(a) for a in rng.uniform(0.01, 4.0, size=rng.integers(2, 6))]
+            got = radial_moment_ratio(RadialSpec("chisq", dof=2 * h), alphas, len(alphas))
+            H, A = mpmath.mpf(h), [mpmath.mpf(a) for a in alphas]
+            log_want = (
+                sum(mpmath.loggamma(H + a) for a in A) - mpmath.loggamma(H + sum(A)) - (len(A) - 1) * mpmath.loggamma(H)
+            )
+            assert abs(got / mpmath.exp(log_want) - 1) < 1e-13
 
 
 def test_radial_moment_ratio_exact_kinds():

@@ -671,6 +671,18 @@ def test_cli_exact_radial_ratios_run_to_a_strict_report(tmp_path, elliptical):
     assert row["rhs_se"] == 0.0 and row["detail"]["q_r"] <= 1.0 and row["verdict"] != "Violated"
 
 
+def test_cli_chisq_radial_of_another_dof_is_open_and_exits_0(tmp_path):
+    # chi-square with 1e6 dof at d = 2 is not the Gaussian law, so the
+    # statement is open there and its Violated row is a finding, not a
+    # failed theorem
+    raw = kind_raw("elliptical", alpha=3.0, n_samples=20000,
+                   sigma_source={"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                   elliptical={"alphas": [1.0, 1.0], "radial": {"kind": "chisq", "dof": 1e6}})
+    assert _cli_run(tmp_path, raw) == 0
+    (row,) = _strict_json(tmp_path / "out.json")["rows"]
+    assert row["status"] == "open" and row["verdict"] == "Violated"
+
+
 def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"report holds the non-JSON constant {constant}")

@@ -112,13 +112,13 @@ def test_partitions_reverse_lex_and_max_parts():
 
 
 def test_zonal_weight2_table_frozen():
-    t = zonal_table(2)
+    t = zonal_table(2, 2)
     assert t.coeffs[(2,)] == {(2,): Fraction(1), (1, 1): Fraction(2, 3)}
     assert t.coeffs[(1, 1)] == {(1, 1): Fraction(4, 3)}
 
 
 def test_zonal_weight3_table_frozen():
-    t = zonal_table(3)
+    t = zonal_table(3, 3)
     assert t.coeffs[(3,)] == {
         (3,): Fraction(1),
         (2, 1): Fraction(3, 5),
@@ -151,9 +151,26 @@ def test_zonal_too_many_parts_and_cap():
     with pytest.raises(DomainError):
         zonal_polynomial((1, 1, 1), np.ones(2))
     with pytest.raises(CapExceeded):
-        zonal_table(13)
+        zonal_table(13, 2)
     with pytest.raises(DomainError):
-        zonal_table(-1)
+        zonal_table(-1, 2)
+    with pytest.raises(DomainError):
+        zonal_table(2, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_zonal_table_in_m_variables_is_the_full_table_restricted(k):
+    # rows with at most m parts depend only on each other, exactly
+    full = zonal_table(k, k)
+    for m in range(1, 6):
+        table = zonal_table(k, m)
+        assert table.order == tuple(lam for lam in full.order if len(lam) <= m)
+        assert table.coeffs == {
+            kappa: {lam: c for lam, c in row.items() if len(lam) <= m}
+            for kappa, row in full.coeffs.items()
+            if len(kappa) <= m
+        }
+    assert zonal_table(k, k + 2).coeffs == full.coeffs
 
 
 def test_zonal_laplace_beltrami_eigenfunction():
@@ -173,7 +190,7 @@ def test_zonal_laplace_beltrami_eigenfunction():
     for k in (2, 3, 4):
         p = k
         xs = sympy.symbols(f"x0:{p}")
-        table = zonal_table(k)
+        table = zonal_table(k, k)
         for kappa in partitions_of(k, max_parts=p):
             terms = {}
             for lam, c in table.coeffs[kappa].items():
@@ -207,6 +224,8 @@ def test_expansion_coefficients_small_p_frozen():
     assert zonal_expansion_coefficients(1) == {(): 1.0}
     c2 = zonal_expansion_coefficients(2)
     assert set(c2) == {(1,)}
+    with pytest.raises(TypeError):  # the memoized mapping is shared, so read-only
+        c2[(1,)] = 0.0
     assert c2[(1,)] == pytest.approx(1.0, abs=1e-10)
     c3 = zonal_expansion_coefficients(3)
     assert c3[(3,)] == pytest.approx(0.0, abs=1e-10)
@@ -282,7 +301,7 @@ def _monomial_fractions(x, k):
 
 
 def _zonal_fraction(kappa, mono):
-    return sum(c * mono[lam] for lam, c in zonal_table(sum(kappa)).coeffs[kappa].items() if lam in mono)
+    return sum(c * mono[lam] for lam, c in zonal_table(sum(kappa), 5).coeffs[kappa].items() if lam in mono)
 
 
 def test_p5_expansion_coefficients_are_exact_rationals():
