@@ -13,20 +13,24 @@ in call order (a calibration pilot, the estimator, then any rerun), so
 one scale matrix uses one plan whatever the number of splits.
 
 Control variates: the sandwich, conj11, opp_lower and opp_upper draw
-through `product_columns` with ``controls=True``. When an exponent is
-inverted, that estimator is tilted: it samples W(alpha - 2c, Sigma) and
-weights every column by K |X|^c, which leaves each mean unchanged and
-keeps inverse minors bounded. It adds a column for every single block
-and every pair of blocks whose smaller block is at most 2x2 and whose
-closed-form moment (`pair_moment` for a pair) has a finite variance
-under that estimator, and the tilt weight, of mean exactly 1. The
-driver reads every side off `JointEstimate.controlled`, the same draws
-regressed on those exactly known means; each such verdict records the
-tilt c under ``tilt``, and the control groups and the plain / controlled
-margin-variance ratio under ``controls``. When every column is a
-control (two blocks, one of them at most 2x2), the verdict is exact and
-nothing is drawn. The Bernstein pair and the radial moment ratio are
-closed forms and never draw.
+through `product_columns` with ``controls=True``. When the statement
+has a 1x1 block coupled to the rest, that estimator conditions on it:
+it draws the other rows only and every column carries the block's
+conditional moment E[X_jj^h | rest], a noncentral chi-square moment, in
+place of X_jj^h. Otherwise, when an exponent is inverted, it is tilted:
+it samples W(alpha - 2c, Sigma) and weights every column by K |X|^c,
+which leaves each mean unchanged and keeps inverse minors bounded. It
+adds a column for every single block and every pair of blocks whose
+smaller block is at most 2x2 and whose closed-form moment
+(`pair_moment` for a pair) has a finite variance under that estimator,
+and the tilt weight, of mean exactly 1. `_mc_verdicts` reads every side
+off `JointEstimate.controlled`, the same draws regressed on those exactly
+known means; each such verdict records the tilt c under ``tilt``, the
+1-based conditioned block (or None) under ``conditioned``, and the
+control groups and the plain / controlled margin-variance ratio under
+``controls``. When every column is a control (two blocks, one of them
+at most 2x2), the verdict is exact and nothing is drawn. The Bernstein
+pair and the radial moment ratio are closed forms and never draw.
 
 Rerun rule: any Violated verdict, proved or not, is a candidate Monte
 Carlo false positive. The driver then runs the estimator once more at
@@ -63,7 +67,7 @@ from .montecarlo import (
     mc_probability,  # noqa: F401  (perfbench/layers.py traces the estimators bound here)
     product_columns,
 )
-from .special import log_mvgamma
+from .special import _binet, log_mvgamma
 from .wishart import WishartModel, _sample_batch, _sub_blocks, factor_eigvals, factor_logdet
 from .wishart import laplace_transform, log_minor_moment, sphere_batch
 
@@ -232,12 +236,13 @@ def _mc_verdicts(
     takes none. `product`, the `ProductColumns` that `draw` and k come
     from, brings control variates: `sides` then reads
     `JointEstimate.controlled`, and each detail records the tilt c under
-    ``tilt`` and, under ``controls``, the control groups (1-based blocks;
-    [] is the tilt weight) and the plain / controlled margin-variance
-    ratio. When every column is a control, the sides are exact: nothing
-    is drawn, no stream is taken, and every side reads n = 1 and stderr
-    0. The rerun rule of the module docstring applies to the Violated
-    keys.
+    ``tilt``, the 1-based conditioned block (or None) under
+    ``conditioned`` and, under ``controls``, the control groups (1-based
+    blocks; [] is the tilt weight) and the plain / controlled
+    margin-variance ratio. When every column is a control, the sides are
+    exact: nothing is drawn, no stream is taken, and every side reads
+    n = 1 and stderr 0. The rerun rule of the module docstring applies to
+    the Violated keys.
     """
     controls = product.controls if product is not None else {}
     means = {j: mu for j, (_, mu) in controls.items()}
@@ -257,7 +262,12 @@ def _mc_verdicts(
             for key, (direction, lhs, rhs, margin_se, detail) in got.items():
                 was, se = _margin_se(*plain[key][1:4]), _margin_se(lhs, rhs, margin_se)
                 ratio = (was / se) ** 2 if se else (inf if was else 1.0)
-                detail = {**detail, "tilt": product.tilt, "controls": {"groups": groups, "variance_ratio": ratio}}
+                detail = {
+                    **detail,
+                    "tilt": product.tilt,
+                    "conditioned": None if product.conditioned is None else product.conditioned + 1,
+                    "controls": {"groups": groups, "variance_ratio": ratio},
+                }
                 got[key] = (direction, lhs, rhs, margin_se, detail)
         return {
             key: verdict_from(
@@ -848,13 +858,6 @@ def _gamma_moment_ratio(h: float, alphas) -> float:
         return (h + a - 0.5) * log1p(a / h) - a + _binet(h + a) - _binet(h)
 
     return exp(sum(shift(a) for a in alphas) - shift(total))
-
-
-def _binet(x: float) -> float:
-    # mu(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 for x >= 10,
-    # by Stirling's series to x^-11; the next term is below 7e-16
-    t = 1.0 / (x * x)
-    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * 691 / 360360))))) / x
 
 
 def elliptical_gpi_check(

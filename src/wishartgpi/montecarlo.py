@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import exp, isfinite, sqrt
+from math import exp, isfinite, lgamma, log, sqrt
 from typing import Callable
 
 import numpy as np
 
 from .errors import CapExceeded, DegenerateEvent, DegenerateVariance, DomainError, InfiniteMoment
+from .linalg import BlockSpec
+from .special import log_hyp1f1_scaled
 from .wishart import (
     PAIR_BLOCK_CAP,
     RngStream,
@@ -396,7 +398,9 @@ class ProductColumns:
     column of the g-th requested group (None: the exact constant 1);
     ``controls`` maps control columns to ``(blocks, exact mean)``, with
     blocks () for the tilt weight; ``tilt`` is the c of the sampler
-    W(alpha - 2c, Sigma), 0 for the plain estimator.
+    W(alpha - 2c, Sigma), 0 for the plain estimator; ``conditioned`` is
+    the 0-based scalar block whose power every column replaces by its
+    conditional mean, or None.
     """
 
     draw: Callable
@@ -404,26 +408,42 @@ class ProductColumns:
     index: list
     controls: dict
     tilt: float
+    conditioned: int | None
 
 
-def _known_mean(model: WishartModel, exps: ExponentVector, blocks, tilt: float):
+def _second_moment_finite(model: WishartModel, exps: ExponentVector, blocks, tilt: float, conditioned) -> bool:
+    """Whether the column over `blocks` has a FiniteGuaranteed second moment.
+
+    The column is K |X|^c prod |X_ii|^h_i under W(alpha - 2c), so its
+    second moment is a constant times E_alpha |X|^c prod |X_ii|^(2 h_i),
+    which Fischer's inequality |X| <= prod |X_ii| bounds by the product
+    with powers 2 h_i + c on the group's blocks and c on the rest. A
+    conditioned block (c = 0) enters through E[X_jj^h | rest]: for h < 0
+    that is at most its unconditional central moment, a constant, so it
+    drops out; for h > 0 Jensen bounds the column's second moment by the
+    plain one's, so it keeps 2 h.
+    """
+    powers = [2.0 * exps.signed[i] + tilt if i in blocks else tilt for i in range(model.d)]
+    if conditioned in blocks and exps.signed[conditioned] < 0.0:
+        powers[conditioned] = 0.0
+    moment = ExponentVector.from_signed(powers)
+    return finiteness_classify(model.alpha, model.spec.sizes, moment) is Finiteness.FINITE_GUARANTEED
+
+
+def _known_mean(model: WishartModel, exps: ExponentVector, blocks, tilt: float, conditioned):
     """Exact mean of the product over `blocks` when it may serve as a control.
 
     It must have a closed form (one block, or a pair whose smaller block
-    has at most PAIR_BLOCK_CAP rows), and its mean and its second moment
-    under the estimator that runs must be FiniteGuaranteed. That
-    estimator's column is K |X|^c prod |X_ii|^h_i under W(alpha - 2c), so
-    its second moment is a constant times E_alpha |X|^c prod |X_ii|^(2 h_i),
-    which Fischer's inequality |X| <= prod |X_ii| bounds by the product
-    with powers 2 h_i + c on the group's blocks and c on the rest.
-    Returns None otherwise.
+    has at most PAIR_BLOCK_CAP rows), a FiniteGuaranteed mean, and a
+    FiniteGuaranteed second moment under the estimator that runs
+    (`_second_moment_finite`). Returns None otherwise.
     """
     h = [exps.signed[i] if i in blocks else 0.0 for i in range(model.d)]
-    second = [2.0 * h[i] + tilt for i in range(model.d)]
-    for powers in (h, second):
-        moment = ExponentVector.from_signed(powers)
-        if finiteness_classify(model.alpha, model.spec.sizes, moment) is not Finiteness.FINITE_GUARANTEED:
-            return None
+    mean = ExponentVector.from_signed(h)
+    if finiteness_classify(model.alpha, model.spec.sizes, mean) is not Finiteness.FINITE_GUARANTEED:
+        return None
+    if not _second_moment_finite(model, exps, blocks, tilt, conditioned):
+        return None
     if len(blocks) == 1:
         return exp(log_minor_moment(model, blocks[0], h[blocks[0]]))
     i, j = blocks
@@ -431,6 +451,62 @@ def _known_mean(model: WishartModel, exps: ExponentVector, blocks, tilt: float):
         return pair_moment(model, i, j, h[i], h[j])
     except (DomainError, CapExceeded):
         return None
+
+
+def _conditioning_block(model: WishartModel, exps: ExponentVector, groups) -> int | None:
+    """The scalar block `product_columns` conditions on, or None.
+
+    Candidates are the 1x1 blocks with a nonzero power in some group and
+    a nonzero row of Sigma off the diagonal: an uncoupled block's
+    conditional moment is a constant, which would leave a column with no
+    variance. The last candidate is taken whose conditioned columns all
+    have a FiniteGuaranteed second moment at c = 0.
+    """
+    used = sorted({i for g in groups for i in g if exps.signed[i] != 0.0}, reverse=True)
+    for j in used:
+        r = model.spec.offsets[j]
+        if model.spec.sizes[j] != 1 or not np.any(np.delete(model.sigma[r], r)):
+            continue
+        if all(_second_moment_finite(model, exps, g, 0.0, j) for g in groups):
+            return j
+    return None
+
+
+def _scalar_condition(model: WishartModel, j: int, h: float):
+    """The marginal model without block j and the draw's log E[X_jj^h | rest].
+
+    Row r of block j is dropped from Sigma. With w = Sigma_rest^-1 Sigma_rest,r
+    and s2 = Sigma_rr - Sigma_r,rest w, X_rr / s2 given the rest Y is
+    noncentral chi-square(alpha, lam) with lam = w^T Y w / s2 (Muirhead
+    1982, Thm 3.2.10), so
+
+        E[X_rr^h | Y] = (2 s2)^h Gamma(alpha/2 + h) / Gamma(alpha/2)
+                        * e^(-lam/2) 1F1(alpha/2 + h; alpha/2; lam/2),
+
+    finite for h > -alpha/2. The returned callable maps a marginal
+    Bartlett factor block A, (p - 1, p - 1, m), to the (m,) logs of that,
+    with w^T Y w = |A^T w|^2.
+    """
+    r = model.spec.offsets[j]
+    rest = np.delete(np.arange(model.p), r)
+    sizes = model.spec.sizes[:j] + model.spec.sizes[j + 1 :]
+    marginal = WishartModel(model.alpha, model.sigma[np.ix_(rest, rest)], BlockSpec(sizes))
+    cross = model.sigma[rest, r]
+    w = np.linalg.solve(marginal.sigma, cross)
+    s2 = float(model.sigma[r, r] - cross @ w)
+    half = model.alpha / 2.0
+    const = h * log(2.0 * s2) + lgamma(half + h) - lgamma(half)
+    scaled = w / sqrt(2.0 * s2)
+
+    def log_moment(A):
+        q = A.shape[0]
+        v = (scaled @ A.reshape(q, -1)).reshape(q, -1)
+        x = np.einsum("im,im->m", v, v)
+        out = log_hyp1f1_scaled(half + h, half, x)
+        out += const
+        return out
+
+    return marginal, log_moment
 
 
 def product_columns(
@@ -450,13 +526,23 @@ def product_columns(
     anything short of FiniteGuaranteed raises InfiniteMoment unless
     `override_finiteness` allows Unknown.
 
-    Tilt: when a block the groups use enters inverted, the draws come
-    from W(alpha - 2c, Sigma) with c the largest inverted magnitude, kept
-    below _TILT_CAP (alpha - p + 1)/2, and every column is multiplied by
-    K |X|^c with K = E_alpha |X|^-c, in log space (log |X| comes off the
-    factor's diagonal). Since E_alpha f = K E_{alpha - 2c} f |X|^c, each
-    column keeps its mean, and Fischer's inequality keeps
-    prod |X_ii|^(-nu_i) |X|^c bounded as a block goes singular.
+    Conditioning: when the groups use a 1x1 block j coupled to the rest
+    (`_conditioning_block`), the draws are of the (p - 1)-row marginal
+    W(alpha, Sigma without row and column j) alone, and every column
+    holding j carries E[X_jj^h_j | rest] (`_scalar_condition`) in place
+    of X_jj^h_j. By Rao-Blackwell each column keeps its mean and its
+    variance cannot rise, and for h_j < 0 the inverted scalar minor's
+    singularity leaves the column altogether. The estimator is then not
+    tilted.
+
+    Tilt: otherwise, when a block the groups use enters inverted, the
+    draws come from W(alpha - 2c, Sigma) with c the largest inverted
+    magnitude, kept below _TILT_CAP (alpha - p + 1)/2, and every column
+    is multiplied by K |X|^c with K = E_alpha |X|^-c, in log space
+    (log |X| comes off the factor's diagonal). Since
+    E_alpha f = K E_{alpha - 2c} f |X|^c, each column keeps its mean, and
+    Fischer's inequality keeps prod |X_ii|^(-nu_i) |X|^c bounded as a
+    block goes singular.
 
     With `controls`, every single block and every pair of blocks whose
     smaller block is at most 2x2 and whose exact mean qualifies
@@ -484,23 +570,34 @@ def product_columns(
             raise InfiniteMoment(
                 "product moment not guaranteed finite; pass override_finiteness=True to force"
             )
+    j = _conditioning_block(model, exps, groups)
     inverted = [-exps.signed[i] for g in groups for i in g if exps.signed[i] < 0.0]
-    tilt = min(max(inverted), _TILT_CAP * (model.alpha - model.p + 1) / 2.0) if inverted else 0.0
+    tilt = 0.0
+    if inverted and j is None:
+        tilt = min(max(inverted), _TILT_CAP * (model.alpha - model.p + 1) / 2.0)
     known = {}
     if controls:
         nonzero = [i for i in range(model.d) if exps.signed[i] != 0.0]
         sizes = model.spec.sizes
-        pairs = [(i, j) for i in nonzero for j in nonzero if i < j and min(sizes[i], sizes[j]) <= PAIR_BLOCK_CAP]
+        pairs = [(i, k) for i in nonzero for k in nonzero if i < k and min(sizes[i], sizes[k]) <= PAIR_BLOCK_CAP]
         for blocks in [(i,) for i in nonzero] + pairs:
-            mu = _known_mean(model, exps, blocks, tilt)
+            mu = _known_mean(model, exps, blocks, tilt, j)
             if mu is not None:
                 known[blocks] = mu
-    cols = PowerProducts(exps.signed, groups + list(known), weight=bool(controls and tilt))
-    means = {cols.index[len(groups) + j]: (blocks, mu) for j, (blocks, mu) in enumerate(known.items())}
+    powers = list(exps.signed)
+    if j is not None:
+        # the conditioned block's log factor arrives whole: power 1
+        powers[j] = 1.0
+    cols = PowerProducts(powers, groups + list(known), weight=bool(controls and tilt))
+    means = {cols.index[len(groups) + n]: (blocks, mu) for n, (blocks, mu) in enumerate(known.items())}
     if cols.weight is not None:
         means[cols.weight] = ((), 1.0)
-    slices = {i: model.spec.range(i) for i in cols.used}
     sampler, log_k, full = model, 0.0, slice(0, model.p)
+    if j is not None:
+        sampler, log_moment = _scalar_condition(model, j, exps.signed[j])
+        slices = {i: sampler.spec.range(i - (i > j)) for i in cols.used if i != j}
+    else:
+        slices = {i: model.spec.range(i) for i in cols.used}
     if tilt:
         sampler = WishartModel(model.alpha - 2.0 * tilt, model.sigma, model.spec)
         log_k = log_det_moment(model.alpha, model.p, model._logdet_sigma, -tilt)
@@ -508,11 +605,14 @@ def product_columns(
     def draw(gen, m):
         out = column_block(cols.k, m)
         for draws, A in _sample_batch(sampler, gen, m):
+            logs = {i: factor_logdet(A, sl) for i, sl in slices.items()}
+            if j is not None:
+                logs[j] = log_moment(A)
             shift = log_k + tilt * factor_logdet(A, full) if tilt else None
-            cols.columns({i: factor_logdet(A, sl) for i, sl in slices.items()}, out[:, draws], shift)
+            cols.columns(logs, out[:, draws], shift)
         return out.T
 
-    return ProductColumns(draw, cols.k, cols.index, means, tilt)
+    return ProductColumns(draw, cols.k, cols.index, means, tilt, j)
 
 
 def mc_product_moment(
@@ -543,9 +643,10 @@ def mc_product_moment(
 
     Notes
     -----
-    This is the one-group case of `product_columns`, uncontrolled and
-    tilted when an exponent is inverted; an all-zero exponent product is
-    the exact constant 1 and draws nothing.
+    This is the one-group case of `product_columns`, uncontrolled:
+    conditioned on a coupled scalar block where its gate admits one,
+    otherwise tilted when an exponent is inverted; an all-zero exponent
+    product is the exact constant 1 and draws nothing.
     """
     subset = range(model.d) if subset is None else subset
     cols = product_columns(model, exps, [subset], override_finiteness)

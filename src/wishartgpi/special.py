@@ -17,7 +17,9 @@ and solved against the table of weight p(p-1)/2 in p variables by
 substitution down the dominance order, in rational arithmetic.
 
 The scalar Gauss series 2F1(a, b; c; x) is summed in float, with a
-proved geometric bound on the terms left out.
+proved geometric bound on the terms left out, and so is the
+exponentially scaled Kummer function e^-x 1F1(a; b; x), elementwise over
+an array of x.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, isfinite, lgamma, log, pi, prod
+from math import ceil, factorial, isfinite, lgamma, log, pi, prod, sqrt
 from types import MappingProxyType
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "zonal_polynomial",
     "zonal_expansion_coefficients",
     "hyp2f1_series",
+    "log_hyp1f1_scaled",
 ]
 
 _LOG_PI = log(pi)
@@ -56,6 +59,16 @@ EXPANSION_P_CAP = 5
 # about 3,300 terms, and at x1 = 0.999 about 33,000.
 HYP2F1_RTOL = 1e-14
 HYP2F1_TERM_CAP = 10_000
+# e^-x 1F1(a; b; x) leaves out terms worth at most HYP1F1_RTOL of the sum.
+# Up to x = HYP1F1_HORNER_X it is one polynomial in Horner form: at
+# |a - b| <= 2 that takes at most about 120 terms, whose coefficients,
+# about 1/n!, stay far from the underflow 1/n! meets near n = 170.
+# Above it, a window of HYP1F1_WINDOW sqrt(x) terms on either side of
+# the Poisson mode is summed in log space.
+HYP1F1_RTOL = 1e-16
+HYP1F1_HORNER_X = 50.0
+HYP1F1_WINDOW = 10.0
+_WINDOW_CELLS = 1 << 16
 
 
 def log_mvgamma(p: int, nu: float) -> float:
@@ -108,9 +121,11 @@ def _hyp2f1_factors(a: float, b: float, c: float, x1: float, x2: float, n: int):
     summed here as the convolution that defines it, without cancellation,
     over the powers of x2/x1 that do not underflow.
     """
-    # a zero ratio logs as -inf; a term past the float range becomes inf
+    # a zero ratio logs as -inf; a term past the float range becomes inf.
+    # At x2 = 0 only the slice k2 = 0 is left, and u is not formed: for
+    # c <= 1/2 its (c - 1/2)_m would vanish or change sign.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = _ratio_products(a - 0.5, b - 0.5, c - 0.5, 1.0, x2, n)
+        u = _ratio_products(a - 0.5, b - 0.5, c - 0.5, 1.0, x2, n) if x2 else np.eye(1, n)[0]
         v = _ratio_products(a, b, c, 0.5, x1, n) / (2.0 * np.arange(n) + 1.0)
         half = _ratio_products(0.5, 1.0, 1.0, 1.0, 1.0, n)
         powers = _ratio_products(0.5, 1.0, 1.0, 1.0, x2 / x1, n)
@@ -120,7 +135,9 @@ def _hyp2f1_factors(a: float, b: float, c: float, x1: float, x2: float, n: int):
 
 
 def hyp2f1_series(a: float, b: float, c: float, x1: float, x2: float = 0.0) -> float:
-    """Gauss 2F1(a, b; c; X) of a matrix X with eigenvalues 1 > x1 >= x2 >= 0, for c > 1/2.
+    """Gauss 2F1(a, b; c; X) of a matrix X with eigenvalues 1 > x1 >= x2 >= 0.
+
+    It needs c > 1/2, or c > 0 when x2 = 0: the scalar series.
 
     In the zonal normalization this is the sum over partitions kappa of
     at most two parts of (a)_kappa (b)_kappa / ((c)_kappa |kappa|!)
@@ -147,8 +164,10 @@ def hyp2f1_series(a: float, b: float, c: float, x1: float, x2: float = 0.0) -> f
     doubles, and past HYP2F1_TERM_CAP values of k1 (x1 near 1), or when
     a partial sum overflows, it gives up with CapExceeded.
     """
-    if not (1.0 > x1 >= x2 >= 0.0 and c > 0.5):
-        raise DomainError(f"hyp2f1_series needs 1 > x1 >= x2 >= 0 and c > 1/2, got x=({x1}, {x2}), c={c}")
+    if not (1.0 > x1 >= x2 >= 0.0 and (c > 0.5 or (x2 == 0.0 and c > 0.0))):
+        raise DomainError(
+            f"hyp2f1_series needs 1 > x1 >= x2 >= 0 and c > 1/2 (c > 0 at x2 = 0), got x=({x1}, {x2}), c={c}"
+        )
     if x1 == 0.0:
         return 1.0
     # x1^n reaches HYP2F1_RTOL (1 - x1) at this n; most series stop there
@@ -174,6 +193,160 @@ def hyp2f1_series(a: float, b: float, c: float, x1: float, x2: float = 0.0) -> f
                     f"2F1({a}, {b}; {c}; ({x1}, {x2})) not converged in {HYP2F1_TERM_CAP} terms per slice"
                 )
             n = min(2 * n, HYP2F1_TERM_CAP)
+
+
+def _binet(x):
+    # mu(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 for x >= 10,
+    # by Stirling's series to x^-11; the next term is below 7e-16
+    t = 1.0 / (x * x)
+    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t * (1 / 1188 - t * 691 / 360360))))) / x
+
+
+def _log_gamma_ratio(z, s):
+    """log Gamma(z + s) - log Gamma(z) for z, z + s >= 10, elementwise.
+
+    By Stirling's formula with Binet's remainder mu,
+    (z - 1/2) log1p(s/z) + s log(z + s) - s + mu(z + s) - mu(z): no term
+    is of the size of log Gamma(z) itself, so a ratio near 1 keeps its
+    digits where lgamma(z + s) - lgamma(z) would lose them.
+    """
+    return (z - 0.5) * np.log1p(s / z) + s * np.log(z + s) - s + _binet(z + s) - _binet(z)
+
+
+def log_hyp1f1_scaled(a: float, b: float, x) -> np.ndarray:
+    """log(e^-x 1F1(a; b; x)) for a, b > 0, elementwise over an array of x >= 0.
+
+    e^-x 1F1(a; b; x) = sum_n e^-x x^n / n! * (a)_n / (b)_n is the mean of
+    (a)_n / (b)_n under n ~ Poisson(x), a series of positive terms, and
+    it is summed as one: a polynomial in Horner form for the x up to
+    HYP1F1_HORNER_X (`_log_hyp1f1_horner`), a log-space window around
+    the Poisson mode above (`_log_hyp1f1_window`). Each path leaves out
+    terms worth at most HYP1F1_RTOL of the sum, by a proved bound.
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"log_hyp1f1_scaled needs a, b > 0, got a={a}, b={b}")
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < np.inf)):
+        raise DomainError("log_hyp1f1_scaled needs finite x >= 0")
+    if x.size == 0 or x.max() <= HYP1F1_HORNER_X:
+        return _log_hyp1f1_horner(a, b, x)
+    out = np.empty(x.shape)
+    small = x <= HYP1F1_HORNER_X
+    out[small] = _log_hyp1f1_horner(a, b, x[small])
+    out[~small] = _log_hyp1f1_window(a, b, x[~small])
+    return out
+
+
+def _horner_coefficients(a: float, b: float, top: float) -> np.ndarray:
+    """Coefficients c_n = (a)_n / ((b)_n n!) of the Horner path at x <= top.
+
+    The term ratio t_(n+1) / t_n = x (a + n) / ((b + n)(n + 1)) is at most
+    q = x max(1, (a + N)/(b + N)) / (N + 1) from n = N on, so the terms
+    from N on sum to at most t_N / (1 - q). The first N whose bound is
+    below HYP1F1_RTOL of the terms before it, at x = top, holds at every
+    x <= top: the terms' shares c_n x^n / S(x) are an exponential family
+    in log x with statistic n, so the share of the terms from N on only
+    grows with x.
+    """
+    k = np.arange(400.0)  # far more terms than any x <= HYP1F1_HORNER_X needs at |a - b| <= 10
+    ratio = (a + k) / ((b + k) * (k + 1.0))
+    terms = np.cumprod(np.concatenate(([1.0], ratio * top)))
+    partial = np.cumsum(terms)
+    n = k[1:]
+    q = top * np.maximum(1.0, (a + n) / (b + n)) / (n + 1.0)
+    with np.errstate(divide="ignore"):
+        ok = (q < 1.0) & (terms[1:-1] / (1.0 - q) <= HYP1F1_RTOL * partial[:-2])
+    if not ok.any():
+        raise CapExceeded(f"1F1({a}; {b}; {top}) needs more than {k.size} Horner terms")
+    count = int(np.argmax(ok)) + 1
+    coeffs = np.cumprod(np.concatenate(([1.0], ratio[: count - 1])))
+    if not coeffs[-1] >= np.finfo(float).tiny:
+        raise CapExceeded(f"1F1({a}; {b}; x) Horner coefficients underflow")
+    return coeffs
+
+
+def _log_hyp1f1_horner(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # sum_(n<N) c_n x^n, innermost coefficient first; every step adds
+    # positive numbers, so the relative error stays within 2N units
+    coeffs = _horner_coefficients(a, b, float(x.max()) if x.size else 0.0)
+    acc = np.full(x.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    out = np.log(acc, out=acc)
+    out -= x
+    return out
+
+
+def _log_hyp1f1_window(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The x > HYP1F1_HORNER_X path of `log_hyp1f1_scaled`.
+
+    Around m = floor(x), the Poisson weights w_n and the ratios
+    r_n = (a)_n / (b)_n are accumulated in log space from their steps,
+    log(x / (n + 1)) and log1p((a - b) / (b + n)), out to n = m +- J,
+    so no term is formed from numbers of the size of log n!. The sum is
+    r_m sum w_n (r_n / r_m) / sum w_n, the weights normalized over the
+    window, and log r_m comes from `_log_gamma_ratio` (b + m >= 50).
+    What the window leaves out is bounded by geometric tails: the terms
+    w_n r_n past n_hi = m + J have ratio at most
+    q = x max(1, (a + n_hi)/(b + n_hi)) / (n_hi + 1) and the w_n alone
+    x / (n_hi + 1); below n_lo = m - J the w_n shrink by at most n_lo / x
+    per step, and r_n there is at most max(r_0, r_lo), r_n being monotone.
+    The relative errors of the two sums add up, and J, first
+    HYP1F1_WINDOW sqrt(x) + 8, doubles until they are below HYP1F1_RTOL
+    for every x. Rows go through in batches of about _WINDOW_CELLS terms.
+    """
+    log_ab = _log_gamma_ratio(b, a - b) if min(a, b) >= 10.0 else lgamma(a) - lgamma(b)
+    out = np.empty(x.shape)
+    half = int(ceil(HYP1F1_WINDOW * sqrt(float(x.max())))) + 8
+    rows = max(1, _WINDOW_CELLS // (2 * half + 1))
+    for lo in range(0, x.size, rows):
+        part, width = x[lo : lo + rows], half
+        while True:
+            got, ok = _window_sums(a, b, part, width, log_ab)
+            if ok:
+                break
+            width *= 2
+        out[lo : lo + rows] = got
+    return out
+
+
+def _window_sums(a, b, x, half, log_ab):
+    # log of the window's estimate for every x, and whether every tail
+    # bound holds, over the 2 * half + 1 terms n = floor(x) + j
+    m = np.floor(x)
+    j = np.arange(-half, half + 1.0)
+    n = m[:, None] + j
+    below = n < 0.0
+    k = np.maximum(n[:, :-1], 0.0)
+    step_w = np.log1p((x[:, None] - (k + 1.0)) / (k + 1.0))
+    step_t = step_w + np.log1p((a - b) / (b + k))
+    log_w = np.zeros(n.shape)
+    log_t = np.zeros(n.shape)
+    for log_v, step in ((log_w, step_w), (log_t, step_t)):
+        np.cumsum(step[:, half:], axis=1, out=log_v[:, half + 1 :])
+        np.cumsum(-step[:, half - 1 :: -1], axis=1, out=log_v[:, half - 1 :: -1])
+        log_v[below] = -np.inf
+    sum_w = np.exp(log_w).sum(axis=1)
+    sum_t = np.exp(log_t).sum(axis=1)
+    log_rm = _log_gamma_ratio(b + m, a - b) - log_ab
+    out = log_rm + np.log(sum_t) - np.log(sum_w)
+    # tails past n_hi
+    hi = n[:, -1]
+    rho = x / (hi + 1.0)
+    q = x * np.maximum(1.0, (a + hi) / (b + hi)) / (hi + 1.0)
+    with np.errstate(divide="ignore"):
+        err = np.exp(log_w[:, -1]) * rho / (1.0 - rho) / sum_w
+        err += np.where(q < 1.0, np.exp(log_t[:, -1]) * q / (1.0 - q), np.inf) / sum_t
+    # tails below n_lo, where the window does not reach n = 0
+    lo = n[:, 0]
+    cut = lo > 0.0
+    if cut.any():
+        rho_lo = lo[cut] / x[cut]
+        tail_w = np.exp(log_w[cut, 0]) * rho_lo / (1.0 - rho_lo)
+        r_lo = np.maximum(log_t[cut, 0] - log_w[cut, 0], -log_rm[cut])
+        err[cut] += tail_w / sum_w[cut] + tail_w * np.exp(r_lo) / sum_t[cut]
+    return out, bool(np.all(err <= HYP1F1_RTOL))
 
 
 def _padded(kappa, m: int) -> list[int]:

@@ -773,6 +773,65 @@ def test_controlled_z_is_calibrated_where_the_statement_is_an_equality():
     _assert_calibrated(zs)
 
 
+def test_conditioned_z_is_calibrated_where_the_true_value_is_known():
+    # Blocks (1, 1, 1), Sigma block-diagonal across split 2 with blocks 2
+    # and 3 coupled: every check conditions on block 3, not tilted. The
+    # lower sandwich at split 2 is an equality; for conj11, opp_lower and
+    # opp_upper block 1's independence gives the true value in closed form
+    # through the pair moment of blocks 2 and 3, and z is taken against it.
+    c = 0.6 * (1.5 * 0.8) ** 0.5
+    m3 = WishartModel(10.0, np.array([[1.0, 0.0, 0.0], [0.0, 1.5, c], [0.0, c, 0.8]]), BlockSpec((1, 1, 1)))
+
+    def lhs_z(truth):
+        return lambda v: (v.lhs - truth) / v.lhs_se
+
+    def margin_z(truth):
+        return lambda v: (v.margin - truth) / (v.margin / v.z)
+
+    one = minor_moment(m3, 0, -0.5)
+    checks = {
+        "sandwich": (
+            lambda rng: gpi_sandwich(m3, ExponentVector((0.5,) * 3, (-1,) * 3), (2,), n, rng, bounds=("lower",))[2, "lower"],
+            _first_z,
+        ),
+        "conj11": (
+            lambda rng: product_moment_conjecture_check(m3, ExponentVector((0.7, 1.3, 1.0), (1, 1, 1)), n, rng),
+            lhs_z(minor_moment(m3, 0, 0.7) * pair_moment(m3, 1, 2, 1.3, 1.0)),
+        ),
+        "opp_lower": (
+            lambda rng: opposite_gpi_lower(m3, (0.5, 1.0, 1.0), n, rng),
+            lhs_z(one * pair_moment(m3, 1, 2, 1.0, 1.0)),
+        ),
+        "opp_upper": (
+            lambda rng: opposite_gpi_upper(m3, (0.5, 0.5, 1.0), n, rng),
+            margin_z(one * (minor_moment(m3, 1, -0.5) * minor_moment(m3, 2, 1.0) - pair_moment(m3, 1, 2, -0.5, 1.0))),
+        ),
+    }
+    seeds, n = 400, 2000
+    zs = {}
+    for j, (kind, (check, z_of)) in enumerate(checks.items()):
+        verdicts = [check(RngStream(1120 + j, s)) for s in range(seeds)]
+        for v in verdicts:
+            assert v.detail["conditioned"] == 3 and v.detail["tilt"] == 0.0
+            assert kind == "sandwich" or "candidate_rerun" not in v.detail
+        zs[kind] = [z_of(v) for v in verdicts]
+    _assert_calibrated(zs)
+
+
+def test_mc_split_rows_condition_on_the_scalar_block():
+    # the mc-split shape: blocks (2, 1, 2), alpha = 10, nu = (0.7, 0.4, 0.7)
+    # inverted, a one-factor scale matrix; every row conditions on block 2
+    loading = np.array([0.6, -0.7, 0.55, 0.75, -0.5])
+    sigma = np.outer(loading, loading)
+    np.fill_diagonal(sigma, 1.0)
+    model = WishartModel(10.0, sigma, BlockSpec((2, 1, 2)))
+    rows = gpi_sandwich(model, ExponentVector((0.7, 0.4, 0.7), (-1, -1, -1)), (2, 3), 20000, RngStream(1130))
+    assert len(rows) == 4
+    for v in rows.values():
+        assert v.detail["conditioned"] == 2 and v.detail["tilt"] == 0.0
+        assert v.verdict == "Holds"
+
+
 def test_tilted_z_is_calibrated_at_a_correlated_scale_matrix():
     # Blocks (1, 1), alpha = 6, nu = (-2, -2): the plain estimator's second
     # moment is infinite (2 nu >= alpha/2), the tilted one's is bounded,

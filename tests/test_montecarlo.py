@@ -1,4 +1,5 @@
 import sys
+from math import hypot
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from wishartgpi.montecarlo import (
     mc_mean,
     mc_probability,
     mc_product_moment,
+    product_columns,
 )
-from wishartgpi.wishart import RngStream, WishartModel, random_correlation
+from wishartgpi.wishart import RngStream, WishartModel, minor_moment, random_correlation
 
 
 def normals(gen, m):
@@ -287,6 +289,76 @@ def test_chunked_product_moment_reuses_its_buffers():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert again == first
     assert faults < 256
+
+
+# ------------------------------------------------------------ conditioning
+
+
+def test_conditioning_never_takes_an_uncoupled_scalar_block():
+    # Blocks (1, 1, 1) with block 2 uncoupled: its conditional moment is a
+    # constant, a column mc_mean would refuse as degenerate, so the last
+    # coupled scalar block with a power is taken, or none.
+    sigma = np.array([[1.0, 0.0, 0.5], [0.0, 1.5, 0.0], [0.5, 0.0, 0.8]])
+    model = WishartModel(8.0, sigma, BlockSpec((1, 1, 1)))
+    exps = ExponentVector((0.5, 0.8, 0.6), (1, 1, 1))
+    assert product_columns(model, exps, [range(3)]).conditioned == 2
+    assert product_columns(model, ExponentVector((0.5, 0.8, 0.0), (1, 1, 1)), [range(3)]).conditioned == 0
+    for signs, tilt in (((1, 1, 1), 0.0), ((1, -1, 1), 0.8)):
+        cols = product_columns(model, ExponentVector((0.5, 0.8, 0.6), signs), [(1,)])
+        assert cols.conditioned is None and cols.tilt == tilt
+    est = mc_product_moment(model, exps, 20000, RngStream(61), subset=(1,))
+    assert abs(est.mean - minor_moment(model, 1, 0.8)) < 4 * est.stderr
+    # d = 1 and a diagonal scale matrix have no coupled block: the tilt runs
+    inv = ExponentVector((0.5,), (-1,))
+    assert product_columns(WishartModel(5.0, [[2.0]]), inv, [(0,)]).conditioned is None
+    diag = WishartModel(8.0, np.diag([1.0, 1.5, 0.8]), BlockSpec((1, 1, 1)))
+    cols = product_columns(diag, ExponentVector((0.5, 0.5, 0.5), (-1, -1, -1)), [range(3)])
+    assert cols.conditioned is None and cols.tilt == 0.5
+
+
+def test_conditioning_needs_a_finite_second_moment():
+    # (1, 1), alpha = 6, nu = (-2, -2): with either block conditioned the
+    # other enters the second moment at -4, past alpha/2, so the tilt runs
+    sigma = np.array([[1.0, 0.6 * 1.5**0.5], [0.6 * 1.5**0.5, 1.5]])
+    cols = product_columns(WishartModel(6.0, sigma, BlockSpec((1, 1))), ExponentVector((2.0, 2.0), (-1, -1)), [(0, 1)])
+    assert cols.conditioned is None and cols.tilt == 2.0
+    # (1, 1, 1), alpha = 5, nu = (-1.3, 0.8, 0.8): only conditioning on the
+    # inverted block 1 drops its -2.6 from the second moment
+    model = WishartModel(5.0, random_correlation(3, RngStream(62)), BlockSpec((1, 1, 1)))
+    cols = product_columns(model, ExponentVector((1.3, 0.8, 0.8), (-1, 1, 1)), [range(3)])
+    assert cols.conditioned == 0 and cols.tilt == 0.0
+
+
+@pytest.mark.parametrize(
+    "sizes, alpha, signed, block",
+    [
+        ((2, 1, 2), 10.0, (-0.7, -0.4, -0.7), 1),
+        ((1, 2, 1), 6.0, (0.7, 1.1, 0.5), 2),
+        ((1, 1, 1), 6.0, (-0.5, -0.5, 1.0), 2),
+    ],
+)
+def test_conditioned_columns_keep_their_means(sizes, alpha, signed, block, monkeypatch):
+    # Every single and pair column, conditioned where it holds the block,
+    # against its exact mean; the joint column against the unconditioned
+    # estimator on its own draws.
+    import wishartgpi.montecarlo as mc
+
+    model = WishartModel(alpha, random_correlation(sum(sizes), RngStream(63, sum(sizes))), BlockSpec(sizes))
+    exps = ExponentVector.from_signed(signed)
+    d, n = len(sizes), 200_000
+    cols = product_columns(model, exps, [range(d)], controls=True)
+    assert cols.conditioned == block and cols.tilt == 0.0
+    est = mc_mean(cols.draw, n, RngStream(64), columns=cols.k)
+    groups = sorted(blocks for blocks, _ in cols.controls.values())
+    assert groups == sorted([(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)])
+    for j, (blocks, mu) in cols.controls.items():
+        got = est.column(j)
+        assert abs(got.mean - mu) < 4 * got.stderr, blocks
+    monkeypatch.setattr(mc, "_conditioning_block", lambda *args: None)
+    plain = product_columns(model, exps, [range(d)])
+    ref = mc_mean(plain.draw, n, RngStream(65), columns=plain.k).column(plain.index[0])
+    joint = est.column(cols.index[0])
+    assert abs(joint.mean - ref.mean) < 4 * hypot(joint.stderr, ref.stderr)
 
 
 # ------------------------------------------------------------ control variates

@@ -8,8 +8,10 @@ from scipy.special import multigammaln
 
 from wishartgpi.errors import CapExceeded, DomainError
 from wishartgpi.special import (
+    HYP1F1_HORNER_X,
     _hyp2f1_factors,
     hyp2f1_series,
+    log_hyp1f1_scaled,
     log_mvgamma,
     log_partition_gamma_lower,
     log_partition_gamma_upper,
@@ -397,6 +399,16 @@ def test_hyp2f1_series_matches_the_zonal_sum_at_small_eigenvalues():
         assert hyp2f1_series(a, b, c, *x) == pytest.approx(want, rel=1e-13)
 
 
+def test_hyp2f1_series_admits_every_positive_c_on_the_scalar_slice():
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, c, x in [(0.7, -1.2, 0.5, 0.3), (1.5, 2.5, 0.5, 0.9), (-0.4, 0.8, 0.5, 0.99), (2.0, 3.0, 0.2, 0.5)]:
+        want = float(mpmath.hyp2f1(a, b, c, x))
+        assert hyp2f1_series(a, b, c, x) == hyp2f1_series(a, b, c, x, 0.0) == pytest.approx(want, rel=1e-13)
+    for c in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            hyp2f1_series(0.5, 0.5, c, 0.3)
+
+
 def test_hyp2f1_series_domain_and_cap():
     for x1, x2, c in [(1.0, 0.0, 2.0), (0.3, 0.5, 2.0), (0.3, -0.1, 2.0), (0.5, 0.2, 0.5)]:
         with pytest.raises(DomainError):
@@ -405,3 +417,57 @@ def test_hyp2f1_series_domain_and_cap():
     for x2 in (0.0, 0.5, 1.0 - 1e-9):
         with pytest.raises(CapExceeded):
             hyp2f1_series(0.5, 0.5, 1.0, 1.0 - 1e-9, x2)
+
+
+# ---------------------------------------------------------------- 1F1
+
+# x from 0 across the Horner path and well into the log-space window
+KUMMER_X = np.concatenate(
+    ([0.0, 1e-300, 1e-9, HYP1F1_HORNER_X, np.nextafter(HYP1F1_HORNER_X, np.inf), 1e4], np.geomspace(1e-3, 1e4, 31))
+)
+
+
+def _log_hyp1f1_scaled_mp(a, b, x):
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.hyp1f1(a, b, x)) - x)
+
+
+@pytest.mark.parametrize("h", [-2.0, -0.4, 0.5, 1.3])
+@pytest.mark.parametrize("b", [1.0, 2.5, 5.0])
+def test_log_hyp1f1_scaled_matches_mpmath(h, b):
+    # e^-x 1F1(b + h; b; x), the noncentral chi-square moment's series,
+    # to 1e-13 relative: its log to 1e-13 absolute
+    pytest.importorskip("mpmath")
+    if b + h <= 0.0:
+        with pytest.raises(DomainError):
+            log_hyp1f1_scaled(b + h, b, KUMMER_X)
+        return
+    got = log_hyp1f1_scaled(b + h, b, KUMMER_X)
+    want = [_log_hyp1f1_scaled_mp(b + h, b, x) for x in KUMMER_X]
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_log_hyp1f1_scaled_block_mixing_small_and_large_x():
+    # one sub-block whose x straddle the two paths keeps its shape, and
+    # each entry agrees with itself evaluated alone (where the Horner
+    # length and the window follow that x only) and with mpmath
+    pytest.importorskip("mpmath")
+    x = np.array([[0.0, 3.5, 49.0, 50.5], [75.0, 0.25, 2e3, 12.0]])
+    got = log_hyp1f1_scaled(3.8, 2.5, x)
+    assert got.shape == x.shape
+    for idx in np.ndindex(x.shape):
+        alone = log_hyp1f1_scaled(3.8, 2.5, np.array([x[idx]]))[0]
+        assert abs(got[idx] - alone) < 1e-14
+        assert abs(got[idx] - _log_hyp1f1_scaled_mp(3.8, 2.5, x[idx])) < 1e-13
+
+
+def test_log_hyp1f1_scaled_domain():
+    assert log_hyp1f1_scaled(1.5, 2.0, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    for a, b in [(0.0, 1.0), (1.0, 0.0), (-0.5, 2.0)]:
+        with pytest.raises(DomainError):
+            log_hyp1f1_scaled(a, b, np.ones(2))
+    for bad in (-1e-12, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            log_hyp1f1_scaled(1.5, 2.0, np.array([1.0, bad]))
